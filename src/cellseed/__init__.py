@@ -30,7 +30,6 @@ from .seedcore import (
     exchange_binomial,
     initial_matrix,
     initial_seed,
-    mutate_matrix,
     mutate_seed,
     seed_from_json,
     seed_to_json,

@@ -14,18 +14,16 @@ from typing import Optional
 from . import fixtures
 from .exprlang import parse_identity
 from .lift import (
-    FlagSeed,
     bhat_column,
     build_flag_seed,
     flag_seed_to_dict,
-    lift_minor,
     lift_monomial_to_dict,
     lift_relation,
-    mutate_flag_seed,
+    position_lift,
     project,
     render_flag_seed,
 )
-from .oracle import restricted_to_expr, verify_identity
+from .oracle import verify_identity
 from .rootsys import (
     CellSeedError,
     LieType,
@@ -35,7 +33,6 @@ from .rootsys import (
     cell_word,
     longest_word,
     parse_subset,
-    word_length,
 )
 from .seedcore import (
     Seed,
@@ -133,13 +130,12 @@ def cmd_lift(args) -> int:
     k = args.k
     if not 1 <= k <= seed.size:
         raise CellSeedError(f"position {k} out of range 1..{seed.size}")
-    label = seed.label(k)
-    mono = lift_minor(seed.lie_type, seed.cfg, label.prefix, label.fund)
+    mono = position_lift(seed, k)
     _emit(
         args,
         {"position": k, "lift": lift_monomial_to_dict(mono),
          "projection": str(project(mono))},
-        f"~{label} = {mono}   (degree {mono.degree})",
+        f"~{seed.label(k)} = {mono}   (degree {mono.degree})",
     )
     return 0
 
@@ -170,7 +166,10 @@ def cmd_flagseed(args) -> int:
 
 
 def _parse_sequence(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise CellSeedError(f"cannot parse mutation sequence {text!r}") from exc
 
 
 def cmd_mutate(args) -> int:

@@ -22,7 +22,6 @@ from .rootsys import (
     reflect,
 )
 from .seedcore import (
-    MinorLabel,
     MutationLabel,
     Seed,
     SymbolicBinomial,
@@ -255,16 +254,7 @@ def lift_degree(
     Indices in J lift to the flag minor of degree w_i; otherwise the degree
     is d*w_{j*} from the first nontrivially-acting letter.
     """
-    if i in cfg.j_set:
-        return MultiDegree.fundamental(cfg.j_set, i)
-    res = strip_word(lie_type, w_prefix, i)
-    if res.d == 0:
-        return MultiDegree.zero(cfg.j_set)
-    if res.j_star not in cfg.j_set:
-        raise LiftDegreeError(
-            f"first acting letter {res.j_star} of {w_prefix} lies outside J={cfg.j_set}"
-        )
-    return MultiDegree.fundamental(cfg.j_set, res.j_star, res.d)
+    return lift_minor(lie_type, cfg, w_prefix, i).degree
 
 
 def lift_minor(
@@ -341,13 +331,14 @@ class FlagSeed:
         return self.base.size + len(self.unit_frozen)
 
 
-def _position_lift(fs: FlagSeed, k: int) -> LiftMonomial:
-    label = fs.base.label(k)
+def position_lift(seed: Seed, k: int) -> LiftMonomial:
+    """Lift of the variable at position k, which must not have been mutated."""
+    label = seed.label(k)
     if isinstance(label, MutationLabel):
         raise CellSeedError(
             f"position {k} holds a mutated variable; its lift expression is not a minor"
         )
-    return lift_minor(fs.base.lie_type, fs.base.cfg, label.prefix, label.fund)
+    return lift_minor(seed.lie_type, seed.cfg, label.prefix, label.fund)
 
 
 def _relation_exponents(
@@ -369,7 +360,7 @@ def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
         out = LiftMonomial.one(js)
         for pos, e in enumerate(expo, start=1):
             if e:
-                out = out * (_position_lift(fs, pos) ** e)
+                out = out * (position_lift(fs.base, pos) ** e)
         return out.times_units(extra)
 
     t_m = term(bino.m_expo, alpha)
@@ -402,17 +393,12 @@ def _extension_rows(fs: FlagSeed) -> tuple[tuple[int, ...], ...]:
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
     """Extend a cell seed by lift degrees, unit frozen variables and B-hat rows."""
-    degrees = []
-    for k in range(1, seed.size + 1):
-        label = seed.label(k)
-        if isinstance(label, MutationLabel):
-            raise CellSeedError("flag seed requires an unmutated seed")
-        degrees.append(lift_degree(seed.lie_type, seed.cfg, label.prefix, label.fund))
+    degrees = tuple(position_lift(seed, k).degree for k in range(1, seed.size + 1))
     units = tuple(
         MinorSymbol(j, WeightVec.fundamental(seed.lie_type.rank, j), Word(()))
         for j in seed.cfg.j_set
     )
-    fs = FlagSeed(seed, tuple(degrees), (), units, bhat_literal)
+    fs = FlagSeed(seed, degrees, (), units, bhat_literal)
     return replace(fs, extension_rows=_extension_rows(fs))
 
 

@@ -24,22 +24,6 @@ def identity_matrix(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def elementary(n: int, i: int, t: Fraction) -> Mat:
-    """x_i(t) = I + t E_{i,i+1}, the upper elementary unipotent."""
-    if not 1 <= i <= n - 1:
-        raise CellSeedError(f"letter {i} out of range for size {n}")
-    rows = [list(row) for row in identity_matrix(n)]
-    rows[i - 1][i] = t
-    return tuple(tuple(row) for row in rows)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def _random_rational(rng: random.Random) -> Fraction:
     # small nonzero numerators/denominators keep determinant cost bounded
     num = 0
@@ -343,6 +327,8 @@ def verify_identity(
     rng_seed: int = 0,
 ) -> VerifyReport:
     """Compare two expressions on seeded cell samples with exact arithmetic."""
+    if samples < 1:
+        raise CellSeedError(f"need at least one sample, got {samples}")
     for s in range(samples):
         mat = cell_sample(n, cell_word, rng_seed + s)
         lv, rv = lhs.evaluate(mat), rhs.evaluate(mat)

@@ -4,6 +4,13 @@ Weights are integer vectors in the fundamental-weight basis, so the pairing
 <alpha_i^vee, lambda> is just the i-th coordinate.  Words are sequences of
 simple-reflection indices written left to right and applied to weights right
 to left, i.e. (i1,...,in) acts as s_{i1}(s_{i2}(...s_{in}(lambda))).
+
+Weyl elements are handled through rho = (1,...,1), which is regular: w is
+determined by w^{-1}(rho), and l(ws) > l(w) exactly when
+<alpha_s^vee, w^{-1}(rho)> > 0 (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, section 4).  One walk along a word, reflecting rho letter by letter,
+therefore gives its length, its first non-reduced position, and the right
+descents from which reduced words are peeled.
 """
 
 from __future__ import annotations
@@ -276,75 +283,45 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
 
 
 # ---------------------------------------------------------------------------
-# Weyl elements as integer matrices acting on simple-root coordinates.
-
-Matrix = tuple[tuple[int, ...], ...]
+# Weyl elements through their action on rho.
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _rho(lie_type: LieType) -> WeightVec:
+    return WeightVec((1,) * lie_type.rank)
 
 
-@lru_cache(maxsize=None)
-def _reflection_matrix(lie_type: LieType, i: int) -> Matrix:
-    # s_i(alpha_j) = alpha_j - a[i][j] alpha_i, so only row i changes.
-    cm = cartan_matrix(lie_type)
-    n = lie_type.rank
-    rows = []
-    for r in range(n):
-        if r != i - 1:
-            rows.append(tuple(1 if c == r else 0 for c in range(n)))
-        else:
-            rows.append(
-                tuple((1 if c == r else 0) - cm.entry(i, c + 1) for c in range(n))
-            )
-    return tuple(rows)
+def _inverse_rho(lie_type: LieType, word: Word) -> WeightVec:
+    """w^{-1}(rho) for the element w of ``word``; it determines w."""
+    return apply_word(lie_type, Word(tuple(reversed(word.letters))), _rho(lie_type))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+def _length_steps(lie_type: LieType, word: Word):
+    """Yield +1 or -1 per letter: does it lengthen the prefix before it?
 
-
-def element_matrix(lie_type: LieType, word: Word) -> Matrix:
-    """Matrix of the word's Weyl element on simple-root coordinates."""
+    mu runs through v^{-1}(rho) for the prefixes v; letter i lengthens v
+    exactly when <alpha_i^vee, mu> > 0.
+    """
     _check_letters(lie_type, word)
-    m = _identity(lie_type.rank)
+    mu = _rho(lie_type)
     for i in word:
-        m = _mat_mul(m, _reflection_matrix(lie_type, i))
-    return m
-
-
-def _column_negative(m: Matrix, i: int) -> bool:
-    # Root coordinates of a root have uniform sign, so <=0 everywhere means negative.
-    return all(row[i - 1] <= 0 for row in m)
+        yield 1 if mu.pairing(i) > 0 else -1
+        mu = reflect(lie_type, i, mu)
 
 
 def word_length(lie_type: LieType, word: Word) -> int:
     """Coxeter length of the word's product, by incremental descent counting."""
-    _check_letters(lie_type, word)
-    m = _identity(lie_type.rank)
-    length = 0
-    for i in word:
-        length += -1 if _column_negative(m, i) else 1
-        m = _mat_mul(m, _reflection_matrix(lie_type, i))
-    return length
+    return sum(_length_steps(lie_type, word))
 
 
 def is_reduced(lie_type: LieType, word: Word) -> bool:
-    return word_length(lie_type, word) == len(word)
+    return all(step > 0 for step in _length_steps(lie_type, word))
 
 
 def reduced_violation(lie_type: LieType, word: Word) -> Optional[int]:
     """First position (1-based) where the running length drops, or None."""
-    m = _identity(lie_type.rank)
-    for pos, i in enumerate(word, start=1):
-        if _column_negative(m, i):
+    for pos, step in enumerate(_length_steps(lie_type, word), start=1):
+        if step < 0:
             return pos
-        m = _mat_mul(m, _reflection_matrix(lie_type, i))
     return None
 
 
@@ -374,20 +351,19 @@ def longest_word(lie_type: LieType, subset: Iterable[int] | None = None) -> Word
     return Word(tuple(reversed(applied)))
 
 
-def _reduced_word_of(lie_type: LieType, m: Matrix) -> Word:
-    """Deterministic reduced word for the element with matrix ``m``.
+def _reduced_word_of(lie_type: LieType, mu: WeightVec) -> Word:
+    """Deterministic reduced word for the element w with w^{-1}(rho) = ``mu``.
 
-    Peels the smallest right descent (column of ``m`` negative) until the
-    identity is reached.
+    Peels the smallest right descent (a letter i with <alpha_i^vee, mu> < 0)
+    until mu is dominant, i.e. the identity is reached.
     """
-    n = lie_type.rank
-    ident = _identity(n)
     rev: list[int] = []
-    while m != ident:
-        i = next(i for i in range(1, n + 1) if _column_negative(m, i))
+    while True:
+        i = next((i for i in lie_type.vertices if mu.pairing(i) < 0), None)
+        if i is None:
+            return Word(tuple(reversed(rev)))
         rev.append(i)
-        m = _mat_mul(m, _reflection_matrix(lie_type, i))
-    return Word(tuple(reversed(rev)))
+        mu = reflect(lie_type, i, mu)
 
 
 def cell_word(lie_type: LieType, cfg: ParabolicConfig) -> Word:
@@ -396,11 +372,8 @@ def cell_word(lie_type: LieType, cfg: ParabolicConfig) -> Word:
         raise CellSeedError("configuration rank does not match the type")
     w0 = longest_word(lie_type)
     wk = longest_word(lie_type, cfg.k_set)
-    m = _mat_mul(
-        element_matrix(lie_type, Word(tuple(reversed(wk.letters)))),
-        element_matrix(lie_type, w0),
-    )
-    u = _reduced_word_of(lie_type, m)
+    # u is w_{K,0}^{-1} w_0, and w_{K,0} is an involution
+    u = _reduced_word_of(lie_type, _inverse_rho(lie_type, wk + w0))
     assert len(wk) + len(u) == len(w0), "parabolic factorization must be additive"
     return u
 
@@ -437,11 +410,7 @@ def two_step_A_words(n: int, j1: int, j2: int) -> tuple[Word, Word, Word, Word]:
     u3 = _staircase(j2 + 1, n)
     k_word = u1 + u2 + u3
 
-    w0 = longest_word(lt)
-    target = _mat_mul(
-        element_matrix(lt, Word(tuple(reversed(k_word.letters)))),
-        element_matrix(lt, w0),
-    )
+    target = _inverse_rho(lt, k_word + longest_word(lt))  # k_word is an involution
     want_len = n + (n - j2) * (j2 - 1) + j1 * (j2 - j1)
 
     head = tuple(range(1, n + 1))
@@ -450,7 +419,7 @@ def two_step_A_words(n: int, j1: int, j2: int) -> tuple[Word, Word, Word, Word]:
     candidate = Word(head + u5 + u6)
     if (
         len(candidate) == want_len
-        and element_matrix(lt, candidate) == target
+        and _inverse_rho(lt, candidate) == target
         and is_reduced(lt, candidate)
     ):
         u4 = candidate

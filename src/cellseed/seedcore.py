@@ -252,10 +252,6 @@ def initial_seed(lie_type: LieType, cfg: ParabolicConfig, word: Word) -> Seed:
     return Seed(lie_type, cfg, word, labels, frozen, matrix)
 
 
-def mutate_matrix(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    return matrix.mutate(k)
-
-
 def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
     """Exponents of M_k (entries b_{ik} > 0) and L_k (entries b_{ik} < 0)."""
     if k not in seed.matrix.col_labels:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ def run_proc(*argv, stdin=""):
     )
 
 
+ROOT = Path(__file__).resolve().parents[1]
 B3_ARGS = ("B3", "--J", "3", "--word", "3,2,1,3,2,3")
 A5_ARGS = ("A5", "--J", "1,3", "--word", "1,2,3,4,5,2,3,4,1,2,3")
 
@@ -95,6 +97,13 @@ class TestSeed:
         code, _, err = run(capsys, "seed", "B3", "--J", "3", "--fixture", "a5")
         assert code == 2
 
+    @pytest.mark.parametrize("word,letter", [("0,1", 0), ("-1", -1), ("1,7", 7)])
+    def test_letter_out_of_range(self, capsys, word, letter):
+        code, out, err = run(capsys, "seed", "A3", "--J", "1", "--word", word)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: letter {letter} out of range for A3\n"
+
 
 class TestLift:
     def test_b3_position_2(self, capsys):
@@ -114,6 +123,16 @@ class TestLift:
     def test_position_out_of_range(self, capsys):
         code, _, err = run(capsys, "lift", *A5_ARGS, "--k", "12")
         assert code == 2
+
+    def test_mutated_position_rejected(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "mutate", "--fixture", "b3", "--seq", "1", "--json")
+        assert code == 0
+        f = tmp_path / "mutated.json"
+        f.write_text(out)
+        for command in (("lift", "--k", "1"), ("flagseed",)):
+            code, out, err = run(capsys, *command, "--seed-file", str(f))
+            assert code == 2
+            assert err.startswith("error: position 1 holds a mutated variable")
 
 
 class TestFlagSeed:
@@ -167,6 +186,12 @@ class TestMutate:
         code, _, err = run(capsys, "mutate", *B3_ARGS)
         assert code == 2
 
+    def test_bad_sequence(self, capsys):
+        code, out, err = run(capsys, "mutate", "--fixture", "b3", "--seq", "1,x")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse mutation sequence")
+
     def test_interactive_quit(self):
         proc = run_proc("mutate", *B3_ARGS, "--interactive", stdin="q\n")
         assert proc.returncode == 0
@@ -207,6 +232,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--fixture", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, capsys, samples):
+        code, out, err = run(
+            capsys, "verify", "--fixture", "minor-identities", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need at least one sample")
+
     def test_deterministic_output(self):
         args = ("verify", "--fixture", "minor-identities", "--rng-seed", "5", "--json")
         a, b = run_proc(*args), run_proc(*args)
@@ -225,3 +259,17 @@ def test_json_and_text_carry_same_matrix(capsys):
     data = json.loads(json_out)
     for row in data["matrix"]["entries"]:
         assert " ".join(f"{x:>2}" for x in row) in text_out.replace("( ", " ").replace(" )", " ")
+
+
+def _readme_commands():
+    with open(ROOT / "perfbench" / "reference.json") as fh:
+        entries = json.load(fh)["cli-readme"]
+    return [(cmd, ref) for cmd, ref in sorted(entries.items()) if "--interactive" not in cmd]
+
+
+@pytest.mark.parametrize("command,reference", _readme_commands())
+def test_readme_golden(command, reference, capsys, monkeypatch):
+    """Each recorded README command prints exactly the recorded output."""
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *command.split(" "))
+    assert (code, out) == (reference["exit"], reference["stdout"])

@@ -206,6 +206,12 @@ class TestVerifyIdentity:
         assert report.failed_index == 0
         assert report.counterexample is not None
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        e = expr((1, ((D([1], [2]), 1),)))
+        with pytest.raises(CellSeedError, match="at least one sample"):
+            verify_identity(e, e, 6, A5_WORD, samples=samples, rng_seed=0)
+
     def test_out_of_bounds(self):
         with pytest.raises(CellSeedError):
             eval_minor(D([7], [7]), identity_matrix(6))

@@ -19,9 +19,14 @@ from cellseed import (
     two_step_A_words,
     word_length,
 )
-from cellseed.rootsys import element_matrix, is_reduced
+from cellseed.rootsys import is_reduced, reduced_violation
 
 from conftest import braid_moves, positive_roots, random_words
+
+
+def rho_image(lie_type, word):
+    """w(rho) for the element w of ``word``; rho is regular, so it determines w."""
+    return apply_word(lie_type, word, WeightVec((1,) * lie_type.rank))
 
 
 class TestCartan:
@@ -125,12 +130,45 @@ class TestWordLength:
     def test_cancellation(self):
         assert word_length(LieType.parse("A2"), Word.parse("1,1")) == 0
 
+    def test_inversion_count_oracle(self):
+        # l(w) = #{beta > 0 : w(beta) < 0}, computed on root coordinates
+        rng = random.Random(17)
+        roots = {}
+        for lt, word in random_words(rng, 150):
+            if lt not in roots:
+                roots[lt] = positive_roots(lt, tuple(lt.vertices))
+            cm = cartan_matrix(lt)
+
+            def inversions(letters):
+                count = 0
+                for beta in roots[lt]:
+                    img = list(beta)
+                    for i in reversed(letters):
+                        img[i - 1] -= sum(cm.entry(i, j + 1) * c for j, c in enumerate(img))
+                    count += all(c <= 0 for c in img)
+                return count
+
+            assert word_length(lt, word) == inversions(word.letters)
+            first_drop = next(
+                (p for p in range(1, len(word) + 1) if inversions(word.letters[:p]) != p),
+                None,
+            )
+            assert reduced_violation(lt, word) == first_drop
+            assert is_reduced(lt, word) == (first_drop is None)
+
+    @pytest.mark.parametrize("letters", [(0, 1), (-1,), (1, 7)])
+    def test_out_of_range_letters(self, letters):
+        a3 = LieType.parse("A3")
+        for check in (word_length, is_reduced, reduced_violation):
+            with pytest.raises(CellSeedError, match="out of range"):
+                check(a3, Word(letters))
+
 
 class TestLongestWord:
     def test_b3_parabolic(self, b3):
         w = longest_word(b3, (1, 2))
         assert len(w) == 3
-        assert element_matrix(b3, w) == element_matrix(b3, Word.parse("1,2,1"))
+        assert rho_image(b3, w) == rho_image(b3, Word.parse("1,2,1"))
 
     def test_a5_full(self, a5):
         assert len(longest_word(a5)) == 15
@@ -193,7 +231,7 @@ class TestTwoStepWords:
         assert u2 == Word(())
         total = u1 + u2 + u3 + u4
         assert word_length(lt, total) == len(total) == 6
-        assert element_matrix(lt, total) == element_matrix(lt, longest_word(lt))
+        assert rho_image(lt, total) == rho_image(lt, longest_word(lt))
 
     @pytest.mark.parametrize(
         "n,j1,j2",
@@ -205,7 +243,7 @@ class TestTwoStepWords:
         assert len(u4) == n + (n - j2) * (j2 - 1) + j1 * (j2 - j1)
         total = u1 + u2 + u3 + u4
         assert word_length(lt, total) == len(total) == n * (n + 1) // 2
-        assert element_matrix(lt, total) == element_matrix(lt, longest_word(lt))
+        assert rho_image(lt, total) == rho_image(lt, longest_word(lt))
 
     def test_bad_arguments(self):
         with pytest.raises(CellSeedError):

@@ -14,7 +14,6 @@ from cellseed import (
     exchange_binomial,
     initial_matrix,
     initial_seed,
-    mutate_matrix,
     mutate_seed,
     seed_from_json,
     seed_to_json,
@@ -123,7 +122,7 @@ class TestMutation:
 
     def test_involution_each_direction(self, seed_b3):
         for k in seed_b3.mutable_positions():
-            assert mutate_matrix(mutate_matrix(seed_b3.matrix, k), k) == seed_b3.matrix
+            assert seed_b3.matrix.mutate(k).mutate(k) == seed_b3.matrix
 
     def test_sequence_returns(self, seed_b3):
         s = seed_b3

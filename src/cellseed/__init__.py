@@ -56,7 +56,6 @@ from .lift import (
 from .oracle import (
     MinorExpr,
     MinorSpec,
-    PolyInT,
     cell_sample,
     edagger_degree,
     eval_minor,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .lift import build_flag_seed, lift_relation, project
+from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec
 from .rootsys import CellSeedError, Word
-from .seedcore import Seed, seed_from_json
+from .seedcore import Seed, exchange_binomial, seed_from_json
 
 FIXTURE_SEEDS = ("a5", "b3")
 
@@ -40,40 +42,26 @@ VERIFY_FIXTURES: dict[str, tuple[int, Word, tuple[str, ...]]] = {
 }
 
 
-def lifted_relation_identities(seed: Seed) -> tuple[tuple[str, "object", "object"], ...]:
+def lifted_relation_identities(seed: Seed) -> tuple[tuple[str, MinorExpr, MinorExpr], ...]:
     """Identities proj(lift of relation) == exchange binomial, per mutable k.
 
     Both sides are formal minor expressions; the left side uses the lift's own
     (possibly stripped) words, the right side the seed labels, so equality is
     a genuine function identity rather than a symbol comparison.
     """
-    from .lift import build_flag_seed, lift_relation, project
-    from .oracle import MinorExpr, minor_spec_from_symbol, restricted_to_expr
-    from .rootsys import WeightVec, apply_word
-    from .lift import MinorSymbol
-
     rank = seed.lie_type.rank
     fs = build_flag_seed(seed)
     out = []
     for k in seed.mutable_positions():
-        rel = lift_relation(fs, k)
-        lhs = restricted_to_expr(project(rel), rank)
-        from .seedcore import exchange_binomial
-
+        lhs = restricted_to_expr(project(lift_relation(fs, k)), rank)
         bino = exchange_binomial(seed, k)
         terms = []
         for expo in (bino.m_expo, bino.l_expo):
             factors = []
             for pos, e in enumerate(expo, start=1):
-                if not e:
-                    continue
-                label = seed.label(pos)
-                weight = apply_word(
-                    seed.lie_type, label.prefix, WeightVec.fundamental(rank, label.fund)
-                )
-                sym = MinorSymbol(label.fund, weight, label.prefix, "restricted")
-                factors.append((minor_spec_from_symbol(sym, rank), e))
+                if e:
+                    label = seed.label(pos)
+                    factors.append((weyl_minor_spec(label.prefix, label.fund, rank), e))
             terms.append((1, tuple(factors)))
-        rhs = MinorExpr(tuple(terms))
-        out.append((f"k={k}", lhs, rhs))
+        out.append((f"k={k}", lhs, MinorExpr(tuple(terms))))
     return tuple(out)

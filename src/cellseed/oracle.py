@@ -2,8 +2,10 @@
 
 Restricted minors become determinants of submatrices of upper unitriangular
 matrices, cells are sampled as products of elementary one-parameter matrices
-with seeded random rationals, and right e-action degrees become degrees in t
-of minor polynomials.  Everything is exact over the rationals.
+with seeded random rationals, and e-action degrees become degrees in t of
+translated minors.  Translating by x_j(t) changes one row or one column, so
+such a minor is affine in t and its degree is 1 exactly when one other minor
+is nonzero.  Everything is exact over the rationals.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class MinorSpec:
     def __post_init__(self):
         if len(self.rows) != len(self.cols):
             raise CellSeedError("minor must be square")
+        if any(i < 1 for i in self.rows + self.cols):
+            raise CellSeedError(f"minor indices start at 1, got {self}")
 
     def __str__(self) -> str:
         r = ",".join(map(str, self.rows))
@@ -105,10 +109,13 @@ def minor_spec_from_symbol(sym: MinorSymbol, rank: int) -> MinorSpec:
     )
 
 
-def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
-    n = len(mat)
+def _check_bounds(spec: MinorSpec, n: int) -> None:
     if spec.rows and (spec.rows[-1] > n or spec.cols[-1] > n):
         raise CellSeedError(f"{spec} out of bounds for size {n}")
+
+
+def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
+    _check_bounds(spec, len(mat))
     sub = [[mat[r - 1][c - 1] for c in spec.cols] for r in spec.rows]
     return _det(sub)
 
@@ -134,92 +141,31 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in one variable t over the rationals.
+def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int:
+    """Degree in t of the minor of x_j(t)*mat (side="left") or mat*x_j(t) (side="right").
 
-
-@dataclass(frozen=True)
-class PolyInT:
-    """Dense rational polynomial; the zero polynomial has empty coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *coeffs) -> "PolyInT":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    def degree(self) -> int:
-        """Degree in t; the zero polynomial reports 0."""
-        return max(len(self.coeffs) - 1, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyInT") -> "PolyInT":
-        m = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (m - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (m - len(other.coeffs))
-        return PolyInT.of(*(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "PolyInT":
-        return PolyInT(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolyInT") -> "PolyInT":
-        return self + (-other)
-
-    def __mul__(self, other: "PolyInT") -> "PolyInT":
-        if self.is_zero() or other.is_zero():
-            return PolyInT(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyInT.of(*out)
-
-
-def _poly_det(rows: list[list[PolyInT]]) -> PolyInT:
-    n = len(rows)
-    if n == 0:
-        return PolyInT.of(1)
-    if n == 1:
-        return rows[0][0]
-    out = PolyInT(())
-    for r in range(n):
-        if rows[r][0].is_zero():
-            continue
-        minor = [row[1:] for rr, row in enumerate(rows) if rr != r]
-        term = rows[r][0] * _poly_det(minor)
-        out = out + (term if r % 2 == 0 else -term)
-    return out
-
-
-def translated_minor_poly(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> PolyInT:
-    """Minor of x_j(t)*mat (side="left") or mat*x_j(t) (side="right") as a polynomial."""
+    The translation adds t times row j+1 to row j (left), or t times column j
+    to column j+1 (right).  The minor is linear in that one row or column, so
+    it is affine in t, and its t-coefficient is the minor with the index j
+    replaced by j+1 (left), or j+1 by j (right): zero when the old index is
+    absent or the new one is already present.
+    """
     if side not in ("left", "right"):
         raise CellSeedError(f"unknown side {side!r}")
     n = len(mat)
     if not 1 <= j <= n - 1:
         raise CellSeedError(f"letter {j} out of range for size {n}")
-    t = PolyInT.of(0, 1)
-
-    def entry(r: int, c: int) -> PolyInT:
-        base = PolyInT.of(mat[r - 1][c - 1])
-        if side == "left" and r == j:
-            return base + t * PolyInT.of(mat[j][c - 1])
-        if side == "right" and c == j + 1:
-            return base + t * PolyInT.of(mat[r - 1][j - 1])
-        return base
-
-    sub = [[entry(r, c) for c in spec.cols] for r in spec.rows]
-    return _poly_det(sub)
-
-
-def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int:
-    """Degree in t of the minor of the translated matrix; 0 for the zero polynomial."""
-    return translated_minor_poly(spec, j, mat, side).degree()
+    _check_bounds(spec, n)
+    rows, cols = spec.rows, spec.cols
+    if side == "left":
+        if j not in rows or j + 1 in rows:
+            return 0
+        rows = tuple(j + 1 if r == j else r for r in rows)
+    else:
+        if j + 1 not in cols or j in cols:
+            return 0
+        cols = tuple(j if c == j + 1 else c for c in cols)
+    return int(eval_minor(MinorSpec(rows, cols), mat) != 0)
 
 
 def sampled_multidegree(
@@ -232,6 +178,8 @@ def sampled_multidegree(
     side: str = "left",
 ) -> dict[int, int]:
     """Per-index degree maximized over seeded cell samples."""
+    if samples < 1:
+        raise CellSeedError(f"need at least one sample, got {samples}")
     out = {j: 0 for j in js}
     for s in range(samples):
         mat = cell_sample(n, cell_word, rng_seed + s)

@@ -222,6 +222,19 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("line", ["D{0|1} = 0", "D{0|6} = 0"])
+    def test_zero_index_rejected(self, tmp_path, capsys, line):
+        # index 0 used to read the last row: a vacuous PASS or a bogus FAIL
+        f = tmp_path / "zero.txt"
+        f.write_text(line + "\n")
+        code, out, err = run(
+            capsys, "verify", "--file", str(f), "--n", "6",
+            "--cell-word", "1,2,3,4,5,2,3,4,1,2,3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_file_requires_context(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
         f.write_text("D{1|2} = D{1|2}\n")

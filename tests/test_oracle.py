@@ -6,7 +6,6 @@ from cellseed import (
     CellSeedError,
     MinorExpr,
     MinorSpec,
-    PolyInT,
     Word,
     WeightVec,
     apply_word,
@@ -122,18 +121,6 @@ class TestCellSample:
                 assert mat[i][j] == 0
 
 
-class TestPolyInT:
-    def test_trailing_zeros_trimmed(self):
-        assert PolyInT.of(1, 2, 0).coeffs == (1, 2)
-        assert PolyInT.of(0, 0).is_zero()
-
-    def test_arith(self):
-        p = PolyInT.of(1, 1)
-        assert (p * p).coeffs == (1, 2, 1)
-        assert (p - p).is_zero()
-        assert p.degree() == 1
-
-
 class TestEdaggerDegree:
     def test_d12_j1(self):
         # (x_1(t) n)_{1,2} = n_12 + t, so degree 1 either side
@@ -170,6 +157,36 @@ class TestEdaggerDegree:
                 agree += sum(1 for x in per if x == top)
                 total += samples
         assert agree / total >= 0.95
+
+    def test_out_of_bounds(self):
+        # j=1 is neither a row nor a column of D{7|7}, yet the size is checked
+        with pytest.raises(CellSeedError, match="out of bounds"):
+            edagger_degree(D([7], [7]), 1, identity_matrix(6))
+
+
+def _translated_at_one(mat, j, side):
+    """x_j(1)*mat (left: row j += row j+1) or mat*x_j(1) (right: col j+1 += col j)."""
+    rows = [list(r) for r in mat]
+    if side == "left":
+        rows[j - 1] = [a + b for a, b in zip(rows[j - 1], rows[j])]
+    else:
+        for row in rows:
+            row[j] += row[j - 1]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("k", range(1, 12))
+def test_degree_is_two_point_difference(seed_a5, k, side):
+    # the translated minor is affine in t, so its degree is 1 iff its values
+    # at t=1 and t=0 differ
+    label = seed_a5.label(k)
+    spec = weyl_minor_spec(label.prefix, label.fund, 5)
+    for s in range(3):
+        mat = cell_sample(6, A5_WORD, 50 + s)
+        for j in range(1, 6):
+            moved = eval_minor(spec, _translated_at_one(mat, j, side))
+            assert edagger_degree(spec, j, mat, side) == int(moved != eval_minor(spec, mat))
 
 
 # Measured multi-degrees of the eleven initial variables of the A5 example,
@@ -212,9 +229,19 @@ class TestVerifyIdentity:
         with pytest.raises(CellSeedError, match="at least one sample"):
             verify_identity(e, e, 6, A5_WORD, samples=samples, rng_seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_multidegree_needs_a_sample(self, samples):
+        with pytest.raises(CellSeedError, match="at least one sample"):
+            sampled_multidegree(D([1], [2]), (1, 9), 6, A5_WORD, samples=samples)
+
     def test_out_of_bounds(self):
         with pytest.raises(CellSeedError):
             eval_minor(D([7], [7]), identity_matrix(6))
+
+    @pytest.mark.parametrize("rows,cols", [([0], [1]), ([1], [0]), ([-1, 2], [1, 2])])
+    def test_indices_start_at_one(self, rows, cols):
+        with pytest.raises(CellSeedError, match="start at 1"):
+            D(rows, cols)
 
 
 class TestLiftedRelationIdentities:

@@ -49,11 +49,10 @@ def _parse_minor(tok: str) -> MinorSpec:
     rows_txt, cols_txt = body.split("|")
     rows = tuple(int(x) for x in rows_txt.split(","))
     cols = tuple(int(x) for x in cols_txt.split(","))
-    if len(rows) != len(cols):
-        raise ExprParseError(f"minor {tok} is not square")
-    if sorted(rows) != list(rows) or sorted(cols) != list(cols):
-        raise ExprParseError(f"minor {tok} must list indices in increasing order")
-    return MinorSpec(rows, cols)
+    try:
+        return MinorSpec(rows, cols)
+    except CellSeedError as exc:
+        raise ExprParseError(str(exc)) from exc
 
 
 def parse_expr(text: str) -> MinorExpr:

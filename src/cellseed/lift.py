@@ -4,12 +4,20 @@ A restricted minor D_{w_i, w(w_i)} on the cell lifts to a multi-homogeneous
 element written as a product of flag minors, unit-minor powers and a
 unit-minor denominator.  The grading lives in the monoid spanned by the
 fundamental weights indexed by J.
+
+Each lift takes one right-to-left walk of its prefix, which yields both the
+weight and the stripped word.  Reducedness is checked where a word enters:
+``lift_minor`` and ``strip_word`` check a bare word, while a seed's word is
+checked once when the seed is made (``initial_seed``, ``seed_from_dict``);
+every prefix of a reduced word is reduced, so seed positions are lifted
+without a further check.  ``build_flag_seed`` lifts each position once and
+``FlagSeed`` keeps the lifts, which ``lift_relation`` multiplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .rootsys import (
     CellSeedError,
@@ -17,11 +25,12 @@ from .rootsys import (
     ParabolicConfig,
     WeightVec,
     Word,
-    apply_word,
+    check_letters,
     is_reduced,
     reflect,
 )
 from .seedcore import (
+    MinorLabel,
     MutationLabel,
     Seed,
     SymbolicBinomial,
@@ -169,25 +178,29 @@ class LiftMonomial:
     def one(cls, js: Sequence[int]) -> "LiftMonomial":
         return cls((), (), (), MultiDegree.zero(js))
 
-    def __mul__(self, other: "LiftMonomial") -> "LiftMonomial":
+    @classmethod
+    def product(
+        cls, js: Sequence[int], powers: Iterable[tuple["LiftMonomial", int]]
+    ) -> "LiftMonomial":
+        """Product of ``m**e`` over ``powers``, normalized once at the end."""
         num: dict[MinorSymbol, int] = {}
-        for sym, e in self.num + other.num:
-            num[sym] = num.get(sym, 0) + e
         unit: dict[int, int] = {}
-        for j, e in self.unit + other.unit:
-            unit[j] = unit.get(j, 0) + e
         den: dict[int, int] = {}
-        for i, e in self.den + other.den:
-            den[i] = den.get(i, 0) + e
-        return LiftMonomial.build(num, unit, den, self.degree + other.degree)
+        degree = MultiDegree.zero(js)
+        for mono, e in powers:
+            if e < 0:
+                raise CellSeedError("negative power")
+            for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
+                for key, x in part:
+                    acc[key] = acc.get(key, 0) + e * x
+            degree = degree + e * mono.degree
+        return cls.build(num, unit, den, degree)
+
+    def __mul__(self, other: "LiftMonomial") -> "LiftMonomial":
+        return LiftMonomial.product(self.degree.js, ((self, 1), (other, 1)))
 
     def __pow__(self, e: int) -> "LiftMonomial":
-        if e < 0:
-            raise CellSeedError("negative power")
-        out = LiftMonomial.one(self.degree.js)
-        for _ in range(e):
-            out = out * self
-        return out
+        return LiftMonomial.product(self.degree.js, ((self, e),))
 
     def times_units(self, extra: MultiDegree) -> "LiftMonomial":
         """Multiply by the unit monomial with exponent vector ``extra``."""
@@ -215,35 +228,52 @@ class StripResult:
     """Outcome of dropping trivially-acting prefix letters.
 
     ``start`` is the 1-based index of the first letter pairing nonzero with
-    the weight of the remaining suffix, d that pairing.  When every letter
-    acts trivially, start and j_star are None and d = 0.
+    the weight of the remaining suffix, d that pairing.  The last letter
+    always acts on its own fundamental weight, so such a letter exists.
     """
 
-    start: Optional[int]
-    j_star: Optional[int]
+    start: int
+    j_star: int
     d: int
     stripped: Word
 
 
-def strip_word(lie_type: LieType, word: Word, i_target: int) -> StripResult:
+def _walk(lie_type: LieType, word: Word, i: int) -> tuple[WeightVec, int, int]:
+    """Apply ``word`` to w_i in one right-to-left walk of checked letters.
+
+    Returns word(w_i), the 1-based position of the leftmost letter pairing
+    nonzero with the weight of the suffix after it, and that pairing (0 and
+    0 when no letter acts).  A letter pairing to 0 fixes the weight, so only
+    the acting letters are reflected.
+    """
+    letters = word.letters
+    weight = WeightVec.fundamental(lie_type.rank, i)
+    start = d = 0
+    for t in range(len(letters) - 1, -1, -1):
+        c = weight.coeffs[letters[t] - 1]
+        if c:
+            start, d = t + 1, c
+            weight = reflect(lie_type, letters[t], weight)
+    return weight, start, d
+
+
+def _strip_result(word: Word, start: int, d: int) -> StripResult:
+    if d < 0:
+        raise CellSeedError("negative pairing on a reduced word")
+    return StripResult(start, word.letters[start - 1], d, Word(word.letters[start - 1 :]))
+
+
+def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
     if len(word) == 0 or word.letters[-1] != i_target:
         raise CellSeedError(f"word {word} must end with the letter {i_target}")
     if not is_reduced(lie_type, word):
         raise CellSeedError(f"word {word} is not reduced")
-    letters = word.letters
-    # suffix_weight[t] = s_{i_{t+1}} ... s_{i_n}(w_{i_target}), 0-based t
-    n = len(letters)
-    target = WeightVec.fundamental(lie_type.rank, i_target)
-    suffix = [target] * (n + 1)
-    for t in range(n - 1, -1, -1):
-        suffix[t] = reflect(lie_type, letters[t], suffix[t + 1])
-    for t in range(n):
-        d = suffix[t + 1].pairing(letters[t])
-        if d != 0:
-            if d < 0:
-                raise CellSeedError("negative pairing on a reduced word")
-            return StripResult(t + 1, letters[t], d, Word(letters[t:]))
-    return StripResult(None, None, 0, Word(()))
+
+
+def strip_word(lie_type: LieType, word: Word, i_target: int) -> StripResult:
+    _require_strippable(lie_type, word, i_target)
+    _, start, d = _walk(lie_type, word, i_target)
+    return _strip_result(word, start, d)
 
 
 def lift_degree(
@@ -260,16 +290,28 @@ def lift_degree(
 def lift_minor(
     lie_type: LieType, cfg: ParabolicConfig, w_prefix: Word, i: int
 ) -> LiftMonomial:
-    """Lift of the restricted minor at (w_prefix, i) as a unit-minor expression."""
-    weight = apply_word(lie_type, w_prefix, WeightVec.fundamental(lie_type.rank, i))
+    """Lift of the restricted minor at (w_prefix, i) as a unit-minor expression.
+
+    The bare word is checked first: its letters, and for i outside J that it
+    ends with i and is reduced.
+    """
+    check_letters(lie_type, w_prefix)
+    if i not in cfg.j_set:
+        _require_strippable(lie_type, w_prefix, i)
+    return _lift(lie_type, cfg, w_prefix, i)
+
+
+def _lift(
+    lie_type: LieType, cfg: ParabolicConfig, w_prefix: Word, i: int
+) -> LiftMonomial:
+    """``lift_minor`` of a checked word, from one walk."""
+    weight, start, d = _walk(lie_type, w_prefix, i)
     if i in cfg.j_set:
         sym = MinorSymbol(i, weight, w_prefix)
         return LiftMonomial.build(
             {sym: 1}, {}, {}, MultiDegree.fundamental(cfg.j_set, i)
         )
-    res = strip_word(lie_type, w_prefix, i)
-    if res.d == 0:
-        return LiftMonomial.one(cfg.j_set)
+    res = _strip_result(w_prefix, start, d)
     if res.j_star not in cfg.j_set:
         raise LiftDegreeError(
             f"first acting letter {res.j_star} of {w_prefix} lies outside J={cfg.j_set}"
@@ -316,12 +358,17 @@ class LiftedRelation:
 
 @dataclass(frozen=True)
 class FlagSeed:
-    """Cell seed with per-variable multi-degrees and the J-indexed extension rows."""
+    """Cell seed with per-variable multi-degrees and the J-indexed extension rows.
+
+    ``lifts`` caches the lift of each position, computed once by
+    ``build_flag_seed``; a mutated position holds None.
+    """
 
     base: Seed
     degrees: tuple[MultiDegree, ...]
     extension_rows: tuple[tuple[int, ...], ...]
     unit_frozen: tuple[MinorSymbol, ...]
+    lifts: tuple[Optional[LiftMonomial], ...] = field(compare=False, repr=False)
     bhat_literal: bool = False
 
     def degree(self, k: int) -> MultiDegree:
@@ -331,14 +378,23 @@ class FlagSeed:
         return self.base.size + len(self.unit_frozen)
 
 
-def position_lift(seed: Seed, k: int) -> LiftMonomial:
-    """Lift of the variable at position k, which must not have been mutated."""
+def _require_minor(seed: Seed, k: int) -> MinorLabel:
     label = seed.label(k)
     if isinstance(label, MutationLabel):
         raise CellSeedError(
             f"position {k} holds a mutated variable; its lift expression is not a minor"
         )
-    return lift_minor(seed.lie_type, seed.cfg, label.prefix, label.fund)
+    return label
+
+
+def position_lift(seed: Seed, k: int) -> LiftMonomial:
+    """Lift of the variable at position k, which must not have been mutated.
+
+    The seed's word was checked when the seed was made, so the prefix is not
+    checked again.
+    """
+    label = _require_minor(seed, k)
+    return _lift(seed.lie_type, seed.cfg, label.prefix, label.fund)
 
 
 def _relation_exponents(
@@ -354,17 +410,19 @@ def _relation_exponents(
 def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     """Lift the exchange relation at k; unit powers balance the two degrees."""
     bino, alpha, beta, top = _relation_exponents(fs, k)
-    js = fs.base.cfg.j_set
+    m_support, l_support = (
+        [(pos, e) for pos, e in enumerate(expo, start=1) if e]
+        for expo in (bino.m_expo, bino.l_expo)
+    )
+    for pos, _ in m_support + l_support:
+        _require_minor(fs.base, pos)
 
-    def term(expo: tuple[int, ...], extra: MultiDegree) -> LiftMonomial:
-        out = LiftMonomial.one(js)
-        for pos, e in enumerate(expo, start=1):
-            if e:
-                out = out * (position_lift(fs.base, pos) ** e)
-        return out.times_units(extra)
+    def term(support: list[tuple[int, int]], extra: MultiDegree) -> LiftMonomial:
+        powers = ((fs.lifts[pos - 1], e) for pos, e in support)
+        return LiftMonomial.product(fs.base.cfg.j_set, powers).times_units(extra)
 
-    t_m = term(bino.m_expo, alpha)
-    t_l = term(bino.l_expo, beta)
+    t_m = term(m_support, alpha)
+    t_l = term(l_support, beta)
     assert all(min(a, b) == 0 for a, b in zip(alpha.coeffs, beta.coeffs))
     assert t_m.degree == t_l.degree == top
     left = (f"~x[{k}]", f"~x'[{k}]")
@@ -393,12 +451,13 @@ def _extension_rows(fs: FlagSeed) -> tuple[tuple[int, ...], ...]:
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
     """Extend a cell seed by lift degrees, unit frozen variables and B-hat rows."""
-    degrees = tuple(position_lift(seed, k).degree for k in range(1, seed.size + 1))
+    lifts = tuple(position_lift(seed, k) for k in range(1, seed.size + 1))
     units = tuple(
         MinorSymbol(j, WeightVec.fundamental(seed.lie_type.rank, j), Word(()))
         for j in seed.cfg.j_set
     )
-    fs = FlagSeed(seed, degrees, (), units, bhat_literal)
+    degrees = tuple(lift.degree for lift in lifts)
+    fs = FlagSeed(seed, degrees, (), units, lifts, bhat_literal)
     return replace(fs, extension_rows=_extension_rows(fs))
 
 
@@ -408,7 +467,9 @@ def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
     new_seed = mutate_seed(fs.base, k)
     degrees = list(fs.degrees)
     degrees[k - 1] = top - fs.degree(k)
-    out = replace(fs, base=new_seed, degrees=tuple(degrees))
+    lifts = list(fs.lifts)
+    lifts[k - 1] = None
+    out = replace(fs, base=new_seed, degrees=tuple(degrees), lifts=tuple(lifts))
     return replace(out, extension_rows=_extension_rows(out))
 
 

@@ -57,9 +57,12 @@ class MinorSpec:
 
     def __post_init__(self):
         if len(self.rows) != len(self.cols):
-            raise CellSeedError("minor must be square")
+            raise CellSeedError(f"minor must be square, got {self}")
         if any(i < 1 for i in self.rows + self.cols):
             raise CellSeedError(f"minor indices start at 1, got {self}")
+        for idx in (self.rows, self.cols):
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise CellSeedError(f"minor indices must strictly increase, got {self}")
 
     def __str__(self) -> str:
         r = ",".join(map(str, self.rows))
@@ -110,6 +113,7 @@ def minor_spec_from_symbol(sym: MinorSymbol, rank: int) -> MinorSpec:
 
 
 def _check_bounds(spec: MinorSpec, n: int) -> None:
+    # indices increase, so the last of each is the largest
     if spec.rows and (spec.rows[-1] > n or spec.cols[-1] > n):
         raise CellSeedError(f"{spec} out of bounds for size {n}")
 

@@ -258,25 +258,33 @@ class ParabolicConfig:
         return cls(lie_type.rank, tuple(j_set))
 
 
-def _check_letters(lie_type: LieType, word: Word) -> None:
+def check_letters(lie_type: LieType, word: Word) -> None:
     for i in word:
         if not 1 <= i <= lie_type.rank:
             raise CellSeedError(f"letter {i} out of range for {lie_type}")
 
 
+@lru_cache(maxsize=None)
+def _simple_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
+    """alpha_1, ..., alpha_n in the fundamental-weight basis."""
+    cm = cartan_matrix(lie_type)
+    return tuple(cm.column(i) for i in lie_type.vertices)
+
+
 def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
     """Apply the simple reflection s_i: lambda - <alpha_i^vee, lambda> alpha_i."""
-    cm = cartan_matrix(lie_type)
-    if not 1 <= i <= lie_type.rank:
+    roots = _simple_roots(lie_type)
+    if not 1 <= i <= len(roots):
         raise CellSeedError(f"vertex {i} out of range for {lie_type}")
-    c = weight.pairing(i)
-    alpha = cm.column(i)
-    return WeightVec(tuple(x - c * a for x, a in zip(weight.coeffs, alpha)))
+    c = weight.coeffs[i - 1]
+    if c == 0:
+        return weight
+    return WeightVec(tuple(x - c * a for x, a in zip(weight.coeffs, roots[i - 1])))
 
 
 def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
     """Apply a word to a weight, rightmost letter first."""
-    _check_letters(lie_type, word)
+    check_letters(lie_type, word)
     for i in reversed(word.letters):
         weight = reflect(lie_type, i, weight)
     return weight
@@ -301,7 +309,7 @@ def _length_steps(lie_type: LieType, word: Word):
     mu runs through v^{-1}(rho) for the prefixes v; letter i lengthens v
     exactly when <alpha_i^vee, mu> > 0.
     """
-    _check_letters(lie_type, word)
+    check_letters(lie_type, word)
     mu = _rho(lie_type)
     for i in word:
         yield 1 if mu.pairing(i) > 0 else -1

@@ -307,20 +307,63 @@ def seed_to_dict(seed: Seed) -> dict:
     }
 
 
+def _check_seed(seed: Seed) -> None:
+    """Invariants that tie a seed to its word; the word is checked only here
+    and in ``initial_seed``, and everything that lifts the seed relies on it."""
+    word, matrix = seed.word, seed.matrix
+    _require_reduced(seed.lie_type, word)
+    if seed.size != len(word):
+        raise CellSeedError(f"{seed.size} labels for a word of length {len(word)}")
+    data = successor_maps(word)
+    if seed.frozen_mask != tuple(sk is None for sk in data.s):
+        raise CellSeedError("frozen flags must mark the positions whose letter never reoccurs")
+    if sorted(matrix.row_labels) != list(range(1, len(word) + 1)):
+        raise CellSeedError("matrix rows must be a permutation of the positions")
+    if sorted(matrix.col_labels) != list(data.mutable_positions()):
+        raise CellSeedError("matrix columns must be the mutable positions")
+    for k, label in enumerate(seed.labels, start=1):
+        if isinstance(label, MutationLabel):
+            if seed.frozen_mask[k - 1]:
+                raise CellSeedError(f"frozen position {k} carries a mutation label")
+        elif label != MinorLabel(word.letters[k - 1], word.prefix(k)):
+            raise CellSeedError(
+                f"label {label} at position {k} does not match the word {word}"
+            )
+    d = cartan_matrix(seed.lie_type).symmetrizers()
+    cols = matrix.col_labels
+    dk = [d[word.letters[k - 1] - 1] for k in cols]
+    pp = matrix.principal_part()
+    for a, row in enumerate(pp):
+        for b, x in enumerate(row):
+            if dk[a] * x != -dk[b] * pp[b][a]:
+                raise CellSeedError(
+                    "principal part is not skew-symmetrizable by the Cartan "
+                    f"symmetrizers at ({cols[a]},{cols[b]})"
+                )
+
+
 def seed_from_dict(obj: dict) -> Seed:
-    lie_type = LieType.parse(obj["type"])
-    cfg = ParabolicConfig.from_j(lie_type, obj["J"])
-    word = Word(tuple(obj["word"]))
-    matrix = ExchangeMatrix(
-        tuple(obj["matrix"]["rows"]),
-        tuple(obj["matrix"]["cols"]),
-        tuple(tuple(row) for row in obj["matrix"]["entries"]),
-    )
-    labels = tuple(_label_from_json(l) for l in obj["labels"])
-    frozen = tuple(bool(x) for x in obj["frozen"])
-    if len(labels) != len(frozen) or len(labels) != len(matrix.row_labels):
-        raise CellSeedError("inconsistent seed data")
-    return Seed(lie_type, cfg, word, labels, frozen, matrix, tuple(obj.get("history", ())))
+    """Read a seed and check it against its word (see ``_check_seed``)."""
+    try:
+        lie_type = LieType.parse(obj["type"])
+        matrix = ExchangeMatrix(
+            tuple(obj["matrix"]["rows"]),
+            tuple(obj["matrix"]["cols"]),
+            tuple(tuple(row) for row in obj["matrix"]["entries"]),
+        )
+        seed = Seed(
+            lie_type,
+            ParabolicConfig.from_j(lie_type, obj["J"]),
+            Word(tuple(obj["word"])),
+            tuple(_label_from_json(l) for l in obj["labels"]),
+            tuple(bool(x) for x in obj["frozen"]),
+            matrix,
+            tuple(obj.get("history", ())),
+        )
+        _check_seed(seed)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CellSeedError(f"malformed seed data: {exc!r}") from exc
+    return seed
 
 
 def seed_to_json(seed: Seed) -> str:
@@ -328,7 +371,11 @@ def seed_to_json(seed: Seed) -> str:
 
 
 def seed_from_json(text: str) -> Seed:
-    return seed_from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CellSeedError(f"seed is not JSON: {exc}") from exc
+    return seed_from_dict(obj)
 
 
 def render_seed(seed: Seed) -> str:

@@ -286,3 +286,121 @@ def test_readme_golden(command, reference, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, *command.split(" "))
     assert (code, out) == (reference["exit"], reference["stdout"])
+
+
+def _b3_seed_dict():
+    from cellseed.fixtures import load_seed
+    from cellseed.seedcore import seed_to_dict
+
+    return seed_to_dict(load_seed("b3"))
+
+
+def _set(path, value):
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+class TestSeedFile:
+    """A seed file is checked against its word before anything is lifted."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (_set(["word"], [3, 3, 2, 1, 3, 2]), "word 3,3,2,1,3,2 is not reduced"),
+            (_set(["labels", 1], {"i": 3, "word": [3, 3]}),
+             "label D{w3,(3,3)} at position 2 does not match the word 3,2,1,3,2,3"),
+            (_set(["frozen", 0], True), "frozen flags must mark the positions"),
+            (_set(["matrix", "rows", 0], 2), "matrix rows must be a permutation"),
+            (_set(["matrix", "cols", 2], 5), "matrix columns must be the mutable positions"),
+            (_set(["labels", 5], {"path": [6]}), "frozen position 6 carries a mutation label"),
+            (_set(["matrix", "entries", 0, 1], -1), "not skew-symmetrizable"),
+            (_drop("word"), "malformed seed data"),
+        ],
+        ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key"],
+    )
+    def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
+        obj = _b3_seed_dict()
+        edit(obj)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "lift", "--seed-file", str(f), "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_not_json_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "seed", "--seed-file", str(ROOT / "perfbench" / "identities.txt")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed is not JSON")
+
+    def test_valid_file_accepted(self, tmp_path, capsys):
+        f = tmp_path / "b3.json"
+        f.write_text(json.dumps(_b3_seed_dict()))
+        code, out, _ = run(capsys, "lift", "--seed-file", str(f), "--k", "2")
+        assert code == 0
+        assert "Δ{w2,(3,2)}·Δ{w3}^2 / Δ{w2}" in out
+
+
+class TestMinorIndices:
+    def test_repeated_index_rejected(self, tmp_path, capsys):
+        # used to evaluate the repeated-row minor as 0: a vacuous PASS
+        f = tmp_path / "repeat.txt"
+        f.write_text("D{1,1|1,2} = 0\n")
+        code, out, err = run(capsys, "verify", "--file", str(f), "--n", "3", "--cell-word", "1,2,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: minor indices must strictly increase")
+
+
+# The argv property draws a command, an optional type, option-value pairs and
+# switches, each from valid and invalid values.
+_COMMANDS = ["cartan", "w0", "cellword", "seed", "lift", "liftrel", "flagseed", "mutate", "verify", "bogus"]
+_TYPES = ["A5", "B3", "E6", "G2", "Z9", "A0", "x"]
+_OPTIONS = [
+    "--J", "--word", "--k", "--seq", "--fixture", "--seed-file", "--samples",
+    "--n", "--cell-word", "--file", "--subset", "--rng-seed",
+]
+_SWITCHES = ["--json", "--bhat-literal", "--interactive", "-h"]
+_VALUES = [
+    "1", "2", "3", "0", "-1", "6", "x", "", "1,3", "{1,3}", "3,2,1,3,2,3", "1,1", "1,x", "7,1",
+    "a5", "b3", "nope", "minor-identities", "lifted-relations-A5",
+    str(ROOT / "src" / "cellseed" / "data" / "b3.json"),
+    str(ROOT / "perfbench" / "identities.txt"),
+    str(ROOT / "no-such-file.json"),
+]
+
+
+def test_any_argv_exits_cleanly(monkeypatch):
+    """Any argv ends with exit code 0, 1 or 2, never with a traceback."""
+    import contextlib
+    import io
+
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(_COMMANDS),
+        st.lists(st.sampled_from(_TYPES), max_size=1),
+        st.lists(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)), max_size=4),
+        st.lists(st.sampled_from(_SWITCHES), max_size=2),
+    )
+    def check(command, types, pairs, switches):
+        argv = [command, *types, *(tok for pair in pairs for tok in pair), *switches]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\nq\n"))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+
+    check()

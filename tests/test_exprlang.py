@@ -71,3 +71,8 @@ def test_parse_errors(bad):
 def test_verify_with_parsed_identity():
     lhs, rhs = parse_identity("D{1,3|5,6} = D{1|2}*D{2,3|5,6} - D{1,2,3|2,5,6}")
     assert verify_identity(lhs, rhs, 6, A5_WORD, samples=8, rng_seed=1).equal
+
+
+def test_repeated_index_rejected():
+    with pytest.raises(ExprParseError, match="strictly increase"):
+        parse_expr("D{1,1|1,2}")

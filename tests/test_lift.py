@@ -336,3 +336,98 @@ class TestMutateFlagSeed:
         fs = mutate_flag_seed(build_flag_seed(seed_b3), 1)
         assert fs.base.frozen_mask == seed_b3.frozen_mask
         assert len(fs.unit_frozen) == 1
+
+
+#: the cells of the lift ladder: A5-A14 with J={1,n//2}, B3-B10 with J={n}, E6-E8 with J={1}
+LADDER = (
+    [("A", n, (1, n // 2)) for n in range(5, 15)]
+    + [("B", n, (n,)) for n in range(3, 11)]
+    + [("E", n, (1,)) for n in (6, 7, 8)]
+)
+
+
+def _cell_seed(family, rank, js):
+    from cellseed import LieType, ParabolicConfig, cell_word, initial_seed
+
+    lt = LieType(family, rank)
+    cfg = ParabolicConfig.from_j(lt, js)
+    return initial_seed(lt, cfg, cell_word(lt, cfg))
+
+
+class TestCachedLifts:
+    @pytest.mark.parametrize("family,rank,js", LADDER, ids=[f"{f}{n}" for f, n, _ in LADDER])
+    def test_cache_equals_lift_minor(self, family, rank, js):
+        seed = _cell_seed(family, rank, js)
+        fs = build_flag_seed(seed)
+        assert len(fs.lifts) == seed.size
+        for k in range(1, seed.size + 1):
+            bare = lift_minor(seed.lie_type, seed.cfg, seed.word.prefix(k), seed.word.letters[k - 1])
+            assert fs.lifts[k - 1] == bare, f"position {k}"
+            assert str(fs.lifts[k - 1]) == str(bare), f"position {k}"
+            assert fs.degree(k) == bare.degree
+
+    def test_mutated_factor_rejected(self, seed_b3):
+        fs = mutate_flag_seed(build_flag_seed(seed_b3), 1)
+        # position 1 is in the binomial of every other mutable position of B3
+        for k in (2, 4):
+            assert fs.base.matrix.entry(1, k) != 0
+            with pytest.raises(CellSeedError, match="position 1 holds a mutated variable"):
+                lift_relation(fs, k)
+
+    def test_mutation_clears_the_cache_entry(self, seed_b3):
+        fs = build_flag_seed(seed_b3)
+        fs1 = mutate_flag_seed(fs, 2)
+        assert fs1.lifts[1] is None
+        assert fs1.lifts[:1] + fs1.lifts[2:] == fs.lifts[:1] + fs.lifts[2:]
+
+    def test_one_walk_per_position(self, monkeypatch):
+        """build_flag_seed plus every lift_relation reflects at most m(m+1)/2 times."""
+        from cellseed import lift, rootsys
+
+        seed = _cell_seed("A", 14, (1, 7))
+        m = len(seed.word)
+        calls = 0
+        reflect = rootsys.reflect
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return reflect(*args)
+
+        monkeypatch.setattr(rootsys, "reflect", counting)
+        monkeypatch.setattr(lift, "reflect", counting)
+        fs = build_flag_seed(seed)
+        for k in seed.mutable_positions():
+            lift_relation(fs, k)
+        assert 0 < calls <= m * (m + 1) // 2
+
+
+class TestBareWordChecks:
+    def test_strip_rejects_non_reduced(self, a5):
+        with pytest.raises(CellSeedError, match="is not reduced"):
+            strip_word(a5, Word.parse("1,1,2"), 2)
+
+    def test_lift_minor_rejects_non_reduced(self, a5, cfg_a5):
+        with pytest.raises(CellSeedError, match="is not reduced"):
+            lift_minor(a5, cfg_a5, Word.parse("1,1,2"), 2)
+
+    def test_lift_minor_rejects_letter_out_of_range(self, a5, cfg_a5):
+        for i in (1, 2):
+            with pytest.raises(CellSeedError, match="letter 7 out of range"):
+                lift_minor(a5, cfg_a5, Word.parse("7,2"), i)
+
+
+def test_product_matches_repeated_multiplication(seed_b3, seed_a5):
+    for seed in (seed_b3, seed_a5):
+        js = seed.cfg.j_set
+        lifts = build_flag_seed(seed).lifts
+        rng = random.Random(5)
+        for _ in range(20):
+            picks = [(rng.choice(lifts), rng.randint(0, 2)) for _ in range(4)]
+            slow = LiftMonomial.one(js)
+            for mono, e in picks:
+                for _ in range(e):
+                    slow = slow * mono
+            fast = LiftMonomial.product(js, picks)
+            assert fast == slow and str(fast) == str(slow)
+        assert lifts[0] ** 0 == LiftMonomial.one(js)

@@ -164,6 +164,14 @@ class TestEdaggerDegree:
             edagger_degree(D([7], [7]), 1, identity_matrix(6))
 
 
+class TestMinorSpec:
+    @pytest.mark.parametrize("rows,cols", [((7, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (3, 3))])
+    def test_indices_strictly_increase(self, rows, cols):
+        # an unsorted minor used to raise a bare IndexError, a repeated one to read as 0
+        with pytest.raises(CellSeedError, match="strictly increase"):
+            eval_minor(MinorSpec(rows, cols), identity_matrix(6))
+
+
 def _translated_at_one(mat, j, side):
     """x_j(1)*mat (left: row j += row j+1) or mat*x_j(1) (right: col j+1 += col j)."""
     rows = [list(r) for r in mat]

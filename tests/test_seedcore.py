@@ -244,3 +244,24 @@ class TestSerialization:
         text = render_seed(seed_b3)
         assert "(mutable)" in text and "(frozen)" in text
         assert "-2" in text
+
+
+ROUND_TRIP_CELLS = [("A", n, (1, n // 2)) for n in range(5, 9)] + [("B", n, (n,)) for n in range(3, 6)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,js", ROUND_TRIP_CELLS, ids=[f"{f}{n}" for f, n, _ in ROUND_TRIP_CELLS]
+)
+def test_dict_round_trip_initial_and_mutated(family, rank, js):
+    from cellseed.rootsys import cell_word
+    from cellseed.seedcore import seed_from_dict, seed_to_dict
+
+    lt = LieType(family, rank)
+    cfg = ParabolicConfig.from_j(lt, js)
+    seed = initial_seed(lt, cfg, cell_word(lt, cfg))
+    mutated = seed
+    for k in seed.mutable_positions()[:3]:
+        mutated = mutate_seed(mutated, k)
+    assert len(mutated.history) == 3
+    for s in (seed, mutated):
+        assert seed_from_dict(seed_to_dict(s)) == s

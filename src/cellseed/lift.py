@@ -292,12 +292,11 @@ def lift_minor(
 ) -> LiftMonomial:
     """Lift of the restricted minor at (w_prefix, i) as a unit-minor expression.
 
-    The bare word is checked first: its letters, and for i outside J that it
-    ends with i and is reduced.
+    The bare word is checked first: its letters, that it ends with i and
+    that it is reduced.
     """
     check_letters(lie_type, w_prefix)
-    if i not in cfg.j_set:
-        _require_strippable(lie_type, w_prefix, i)
+    _require_strippable(lie_type, w_prefix, i)
     return _lift(lie_type, cfg, w_prefix, i)
 
 

@@ -5,14 +5,22 @@ matrices, cells are sampled as products of elementary one-parameter matrices
 with seeded random rationals, and e-action degrees become degrees in t of
 translated minors.  Translating by x_j(t) changes one row or one column, so
 such a minor is affine in t and its degree is 1 exactly when one other minor
-is nonzero.  Everything is exact over the rationals.
+is nonzero.
+
+Everything is exact over the rationals: samples and minors are ``Fraction``
+values, but the arithmetic runs on integers.  A sample is built as integer
+columns with one denominator each and kept in a bounded memo, and a minor
+clears its row denominators and takes the determinant by fraction-free
+(Bareiss) elimination.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .rootsys import CellSeedError, WeightVec, Word
@@ -34,18 +42,49 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, 100))
 
 
-def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
-    """Product x_{i_1}(t_1)...x_{i_r}(t_r) with seeded nonzero rational t's."""
+# Samples kept by ``_sample_columns``; a verify or degree pass revisits the
+# same few (size, word, seed) triples many times.
+_SAMPLE_MEMO = 128
+
+
+@lru_cache(maxsize=_SAMPLE_MEMO)
+def _sample_columns(
+    n: int, letters: tuple[int, ...], rng_seed: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Columns of ``cell_sample`` as (denominator, numerators of rows 1..c).
+
+    The product is upper unitriangular, so column c is zero below row c.
+    """
     rng = random.Random(rng_seed)
-    rows = [list(r) for r in identity_matrix(n)]
-    for i in word:
+    cols = [(1, (0,) * c + (1,)) for c in range(n)]
+    for i in letters:
         if not 1 <= i <= n - 1:
             raise CellSeedError(f"letter {i} out of range for size {n}")
         t = _random_rational(rng)
-        # right multiplication by x_i(t): column i+1 += t * column i
-        for r in range(n):
-            rows[r][i] += t * rows[r][i - 1]
-    return tuple(tuple(r) for r in rows)
+        # right multiplication by x_i(t): column i+1 += t * column i, which
+        # is zero below row i; a/da + t*b/db has denominator da*q
+        (da, a), (db, b) = cols[i], cols[i - 1]
+        p, q = t.numerator * da, t.denominator * db
+        num = [x * q for x in a]
+        for r, y in enumerate(b):
+            num[r] += p * y
+        den = da * q
+        g = math.gcd(den, *num)
+        cols[i] = (den // g, tuple(x // g for x in num))
+    return tuple(cols)
+
+
+def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
+    """Product x_{i_1}(t_1)...x_{i_r}(t_r) with seeded nonzero rational t's.
+
+    Every call returns a new matrix, built from the memoized integer columns.
+    """
+    cols = _sample_columns(n, word.letters, rng_seed)
+    zero = Fraction(0)
+    return tuple(
+        tuple(zero if c < r else Fraction(cols[c][1][r], cols[c][0]) for c in range(n))
+        for r in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -125,24 +164,33 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    rows = [row[:] for row in rows]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                for cc in range(c, n):
-                    rows[r][cc] -= f * rows[c][cc]
-    return det
+    """Determinant by Bareiss elimination on the rows scaled to integers.
+
+    Each step divides exactly by the previous pivot, so every entry stays an
+    integer minor of the scaled matrix (Bareiss, Math. Comp. 1968).
+    """
+    scale = 1
+    m = []
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * p - f * pivot_row[c]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1] if n else 1, scale)
 
 
 def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int:

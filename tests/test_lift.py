@@ -411,6 +411,12 @@ class TestBareWordChecks:
         with pytest.raises(CellSeedError, match="is not reduced"):
             lift_minor(a5, cfg_a5, Word.parse("1,1,2"), 2)
 
+    @pytest.mark.parametrize("word", ["1,1", "3,3"])
+    def test_lift_minor_checks_words_in_j(self, a5, cfg_a5, word):
+        # 3 is in J; "1,1" does not end with 3 and "3,3" is not reduced
+        with pytest.raises(CellSeedError, match="must end with|is not reduced"):
+            lift_minor(a5, cfg_a5, Word.parse(word), 3)
+
     def test_lift_minor_rejects_letter_out_of_range(self, a5, cfg_a5):
         for i in (1, 2):
             with pytest.raises(CellSeedError, match="letter 7 out of range"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,13 @@ from cellseed import (
     verify_identity,
     weyl_minor_spec,
 )
-from cellseed.oracle import cols_from_weight, identity_matrix, word_permutation
+from cellseed.oracle import (
+    _det,
+    _random_rational,
+    cols_from_weight,
+    identity_matrix,
+    word_permutation,
+)
 from cellseed.fixtures import A5_WORD
 
 
@@ -119,6 +126,101 @@ class TestCellSample:
             assert mat[i][i] == 1
             for j in range(i):
                 assert mat[i][j] == 0
+
+
+def _fraction_det(rows):
+    """Reference: Gaussian elimination over Fraction."""
+    n = len(rows)
+    det = Fraction(1)
+    rows = [row[:] for row in rows]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            for cc in range(c, n):
+                rows[r][cc] -= f * rows[c][cc]
+    return det
+
+
+def _random_matrix(rng, n):
+    # about a third of the entries are zero, so pivots are often missing
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() > 0.3 else Fraction(0)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+class TestFractionFreeDet:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_fraction_elimination(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            rows = _random_matrix(rng, n)
+            assert _det(rows) == _fraction_det(rows)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_singular(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(20):
+            rows = _random_matrix(rng, n)
+            a, b = rng.sample(range(n), 2)
+            f = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            rows[a] = [f * x for x in rows[b]]
+            assert _det(rows) == 0 == _fraction_det(rows)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        rows = [[Fraction(0), Fraction(1, 2)], [Fraction(3, 4), Fraction(5)]]
+        assert _det(rows) == Fraction(-3, 8) == _fraction_det(rows)
+        rows = [
+            [Fraction(1), Fraction(2), Fraction(3)],
+            [Fraction(2), Fraction(4), Fraction(1, 3)],
+            [Fraction(-1), Fraction(1, 7), Fraction(2)],
+        ]
+        assert _det(rows) == _fraction_det(rows) != 0
+
+    def test_input_untouched(self):
+        rows = [[Fraction(0), Fraction(1, 2)], [Fraction(3, 4), Fraction(5)]]
+        copy = [row[:] for row in rows]
+        _det(rows)
+        assert rows == copy
+
+
+def _explicit_sample(n, word, rng_seed):
+    """Reference: multiply out the I + t*E_{i,i+1} with the same t draws."""
+    rng = random.Random(rng_seed)
+    mat = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for i in word.letters:
+        x = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        x[i - 1][i] = _random_rational(rng)
+        mat = [[sum(mat[r][k] * x[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+    return tuple(tuple(row) for row in mat)
+
+
+class TestSampleKernel:
+    @pytest.mark.parametrize("rank", range(1, 11))
+    def test_equals_explicit_product(self, rank):
+        rng = random.Random(rank)
+        for rng_seed in (0, 7, 1234):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            assert cell_sample(rank + 1, word, rng_seed) == _explicit_sample(rank + 1, word, rng_seed)
+
+    def test_repeated_call_is_equal_and_new(self):
+        first = cell_sample(6, A5_WORD, 11)
+        second = cell_sample(6, A5_WORD, 11)
+        assert second == first and second is not first
+
+    def test_bad_letter_raises_every_time(self):
+        word = Word((1, 2, 6))
+        for _ in range(2):
+            with pytest.raises(CellSeedError, match="letter 6 out of range for size 6"):
+                cell_sample(6, word, 3)
 
 
 class TestEdaggerDegree:

@@ -128,8 +128,6 @@ def cmd_seed(args) -> int:
 def cmd_lift(args) -> int:
     seed = _resolve_seed(args)
     k = args.k
-    if not 1 <= k <= seed.size:
-        raise CellSeedError(f"position {k} out of range 1..{seed.size}")
     mono = position_lift(seed, k)
     _emit(
         args,
@@ -252,8 +250,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--rng-seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument(
+    bhat = argparse.ArgumentParser(add_help=False)
+    bhat.add_argument(
         "--bhat-literal",
         action="store_true",
         help="use the literal extension-row sign (beta_j if nonzero, else -alpha_j)",
@@ -295,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True, help="position of the variable")
     sp.set_defaults(func=cmd_lift)
 
-    sp = sub.add_parser("liftrel", parents=[common, seedsrc], help="lifted exchange relation")
+    sp = sub.add_parser("liftrel", parents=[common, seedsrc, bhat], help="lifted exchange relation")
     sp.add_argument("--k", type=int, required=True, help="mutable position")
     sp.set_defaults(func=cmd_liftrel)
 
-    sp = sub.add_parser("flagseed", parents=[common, seedsrc], help="extended flag seed")
+    sp = sub.add_parser("flagseed", parents=[common, seedsrc, bhat], help="extended flag seed")
     sp.set_defaults(func=cmd_flagseed)
 
     sp = sub.add_parser("mutate", parents=[common, seedsrc], help="mutate a seed")
@@ -313,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, help="matrix size for SL_n")
     sp.add_argument("--cell-word", help="cell word for sampling")
     sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--rng-seed", type=int, default=0, help="seed for sampled checks")
     sp.set_defaults(func=cmd_verify)
 
     return p

@@ -30,8 +30,6 @@ from .rootsys import (
     reflect,
 )
 from .seedcore import (
-    MinorLabel,
-    MutationLabel,
     Seed,
     SymbolicBinomial,
     exchange_binomial,
@@ -377,23 +375,23 @@ class FlagSeed:
         return self.base.size + len(self.unit_frozen)
 
 
-def _require_minor(seed: Seed, k: int) -> MinorLabel:
-    label = seed.label(k)
-    if isinstance(label, MutationLabel):
+def _require_minor(seed: Seed, k: int) -> None:
+    if k in seed.history:
         raise CellSeedError(
             f"position {k} holds a mutated variable; its lift expression is not a minor"
         )
-    return label
 
 
 def position_lift(seed: Seed, k: int) -> LiftMonomial:
-    """Lift of the variable at position k, which must not have been mutated.
+    """Lift of the prefix minor at position k, which must not have been mutated.
 
     The seed's word was checked when the seed was made, so the prefix is not
     checked again.
     """
-    label = _require_minor(seed, k)
-    return _lift(seed.lie_type, seed.cfg, label.prefix, label.fund)
+    if not 1 <= k <= seed.size:
+        raise CellSeedError(f"position {k} out of range 1..{seed.size}")
+    _require_minor(seed, k)
+    return _lift(seed.lie_type, seed.cfg, seed.word.prefix(k), seed.word.letters[k - 1])
 
 
 def _relation_exponents(

@@ -336,38 +336,29 @@ def reduced_violation(lie_type: LieType, word: Word) -> Optional[int]:
 def longest_word(lie_type: LieType, subset: Iterable[int] | None = None) -> Word:
     """Reduced word for the longest element of the parabolic on ``subset``.
 
-    Greedy descent on the subset-regular dominant weight; ties broken by the
-    smallest index, which makes the output deterministic.  An empty subset
-    yields the empty word.
+    Peels the smallest descent in the subset from mu = -(sum of its w_i), so
+    the output is deterministic; an empty subset yields the empty word.
     """
-    verts = (
-        tuple(sorted(set(subset))) if subset is not None else tuple(lie_type.vertices)
-    )
+    verts = tuple(sorted(set(subset))) if subset is not None else tuple(lie_type.vertices)
     for i in verts:
         if not 1 <= i <= lie_type.rank:
             raise CellSeedError(f"vertex {i} out of range for {lie_type}")
-    lam = WeightVec.zero(lie_type.rank)
-    for i in verts:
-        lam = lam + WeightVec.fundamental(lie_type.rank, i)
-    applied: list[int] = []
-    while True:
-        i = next((i for i in verts if lam.pairing(i) > 0), None)
-        if i is None:
-            break
-        applied.append(i)
-        lam = reflect(lie_type, i, lam)
-    return Word(tuple(reversed(applied)))
+    mu = WeightVec(tuple(-1 if i in verts else 0 for i in lie_type.vertices))
+    return _reduced_word_of(lie_type, mu, verts)
 
 
-def _reduced_word_of(lie_type: LieType, mu: WeightVec) -> Word:
-    """Deterministic reduced word for the element w with w^{-1}(rho) = ``mu``.
+def _reduced_word_of(
+    lie_type: LieType, mu: WeightVec, letters: Iterable[int] | None = None
+) -> Word:
+    """Word peeled from ``mu``: the smallest descent among ``letters`` (default:
+    every vertex), a letter i with <alpha_i^vee, mu> < 0, until none is left.
 
-    Peels the smallest right descent (a letter i with <alpha_i^vee, mu> < 0)
-    until mu is dominant, i.e. the identity is reached.
+    Over every vertex and mu = w^{-1}(rho) this is a reduced word for w.
     """
+    letters = tuple(lie_type.vertices if letters is None else letters)
     rev: list[int] = []
     while True:
-        i = next((i for i in lie_type.vertices if mu.pairing(i) < 0), None)
+        i = next((i for i in letters if mu.pairing(i) < 0), None)
         if i is None:
             return Word(tuple(reversed(rev)))
         rev.append(i)

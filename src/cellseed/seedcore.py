@@ -2,13 +2,16 @@
 
 Positions are 1-based indices into the generating word.  Rows of the
 exchange matrix carry all positions, mutable first, then frozen, each block
-in position order; columns are the mutable positions.
+in position order; columns are the mutable positions.  A seed is its word,
+matrix and mutation history; its labels and frozen flags derive from the
+word and the history, and a seed file is checked against that derivation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from .rootsys import (
@@ -209,17 +212,34 @@ class SymbolicBinomial:
 
 @dataclass(frozen=True)
 class Seed:
+    """A cell seed: its reduced word, exchange matrix and mutation history.
+
+    Position k carries the prefix minor D{w_{i_k}, w_{<=k}}, or the path
+    ``history[:t]`` when t is the last mutation at k; it is frozen exactly
+    when its letter never reoccurs.
+    """
+
     lie_type: LieType
     cfg: ParabolicConfig
     word: Word
-    labels: tuple[Label, ...]
-    frozen_mask: tuple[bool, ...]
     matrix: ExchangeMatrix
     history: tuple[int, ...] = ()
 
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
+        word = self.word
+        labels: list[Label] = [MinorLabel(i, word.prefix(k)) for k, i in enumerate(word, start=1)]
+        for t, k in enumerate(self.history, start=1):
+            labels[k - 1] = MutationLabel(self.history[:t])
+        return tuple(labels)
+
+    @cached_property
+    def frozen_mask(self) -> tuple[bool, ...]:
+        return tuple(sk is None for sk in successor_maps(self.word).s)
+
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.word)
 
     def mutable_positions(self) -> tuple[int, ...]:
         return self.matrix.col_labels
@@ -232,24 +252,10 @@ class Seed:
 
 
 def initial_seed(lie_type: LieType, cfg: ParabolicConfig, word: Word) -> Seed:
-    """Initial seed of the cell generated by ``word``.
-
-    Position k is labeled by the fundamental index i_k and the prefix
-    w_{<=k}; it is frozen exactly when the letter i_k never reoccurs.
-    """
+    """Initial seed of the cell generated by ``word``."""
     if cfg.rank != lie_type.rank:
         raise CellSeedError("configuration rank does not match the type")
-    if len(word) == 0:
-        empty = ExchangeMatrix((), (), ())
-        return Seed(lie_type, cfg, word, (), (), empty)
-    matrix = initial_matrix(lie_type, word)
-    data = successor_maps(word)
-    labels = tuple(
-        MinorLabel(word.letters[k - 1], word.prefix(k))
-        for k in range(1, len(word) + 1)
-    )
-    frozen = tuple(sk is None for sk in data.s)
-    return Seed(lie_type, cfg, word, labels, frozen, matrix)
+    return Seed(lie_type, cfg, word, initial_matrix(lie_type, word))
 
 
 def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
@@ -267,12 +273,8 @@ def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Mutate at k: matrix per the exchange rule, label replaced by the path."""
-    new_matrix = seed.matrix.mutate(k)
-    history = seed.history + (k,)
-    labels = list(seed.labels)
-    labels[k - 1] = MutationLabel(history)
-    return replace(seed, matrix=new_matrix, labels=tuple(labels), history=history)
+    """Mutate at k: matrix per the exchange rule, k appended to the history."""
+    return replace(seed, matrix=seed.matrix.mutate(k), history=seed.history + (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +309,29 @@ def seed_to_dict(seed: Seed) -> dict:
     }
 
 
-def _check_seed(seed: Seed) -> None:
-    """Invariants that tie a seed to its word; the word is checked only here
-    and in ``initial_seed``, and everything that lifts the seed relies on it."""
+def _check_seed(seed: Seed, labels: tuple[Label, ...], frozen: tuple[bool, ...]) -> None:
+    """Tie a seed to its word; read labels and frozen flags must equal the derived
+    ones.  The word is checked only here and in ``initial_seed``."""
     word, matrix = seed.word, seed.matrix
     _require_reduced(seed.lie_type, word)
-    if seed.size != len(word):
-        raise CellSeedError(f"{seed.size} labels for a word of length {len(word)}")
-    data = successor_maps(word)
-    if seed.frozen_mask != tuple(sk is None for sk in data.s):
+    if len(labels) != len(word):
+        raise CellSeedError(f"{len(labels)} labels for a word of length {len(word)}")
+    if frozen != seed.frozen_mask:
         raise CellSeedError("frozen flags must mark the positions whose letter never reoccurs")
     if sorted(matrix.row_labels) != list(range(1, len(word) + 1)):
         raise CellSeedError("matrix rows must be a permutation of the positions")
-    if sorted(matrix.col_labels) != list(data.mutable_positions()):
+    if sorted(matrix.col_labels) != list(successor_maps(word).mutable_positions()):
         raise CellSeedError("matrix columns must be the mutable positions")
-    for k, label in enumerate(seed.labels, start=1):
-        if isinstance(label, MutationLabel):
-            if seed.frozen_mask[k - 1]:
-                raise CellSeedError(f"frozen position {k} carries a mutation label")
-        elif label != MinorLabel(word.letters[k - 1], word.prefix(k)):
+    for k in seed.history:
+        if k not in matrix.col_labels:
+            raise CellSeedError(f"history entry {k} is not a mutable position")
+    for k, (label, want) in enumerate(zip(labels, seed.labels), start=1):
+        if isinstance(label, MutationLabel) and frozen[k - 1]:
+            raise CellSeedError(f"frozen position {k} carries a mutation label")
+        if label != want:
             raise CellSeedError(
-                f"label {label} at position {k} does not match the word {word}"
+                f"label {label} at position {k} does not match the word {word} "
+                f"and history {list(seed.history)}"
             )
     d = cartan_matrix(seed.lie_type).symmetrizers()
     cols = matrix.col_labels
@@ -342,25 +346,32 @@ def _check_seed(seed: Seed) -> None:
                 )
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of plain integers; JSON ``true`` is not 1 here."""
+    out = tuple(values)
+    if not all(type(x) is int for x in out):
+        raise CellSeedError(f"{what} must hold only integers, got {values!r}")
+    return out
+
+
 def seed_from_dict(obj: dict) -> Seed:
     """Read a seed and check it against its word (see ``_check_seed``)."""
     try:
         lie_type = LieType.parse(obj["type"])
         matrix = ExchangeMatrix(
-            tuple(obj["matrix"]["rows"]),
-            tuple(obj["matrix"]["cols"]),
-            tuple(tuple(row) for row in obj["matrix"]["entries"]),
+            _ints(obj["matrix"]["rows"], "matrix rows"),
+            _ints(obj["matrix"]["cols"], "matrix columns"),
+            tuple(_ints(row, "matrix entries") for row in obj["matrix"]["entries"]),
         )
         seed = Seed(
             lie_type,
-            ParabolicConfig.from_j(lie_type, obj["J"]),
-            Word(tuple(obj["word"])),
-            tuple(_label_from_json(l) for l in obj["labels"]),
-            tuple(bool(x) for x in obj["frozen"]),
+            ParabolicConfig.from_j(lie_type, _ints(obj["J"], "J")),
+            Word(_ints(obj["word"], "word")),
             matrix,
-            tuple(obj.get("history", ())),
+            _ints(obj.get("history", ()), "history"),
         )
-        _check_seed(seed)
+        labels = tuple(_label_from_json(l) for l in obj["labels"])
+        _check_seed(seed, labels, tuple(bool(x) for x in obj["frozen"]))
     except (KeyError, TypeError, AttributeError) as exc:
         raise CellSeedError(f"malformed seed data: {exc!r}") from exc
     return seed

@@ -309,6 +309,18 @@ def _drop(key):
     return lambda obj: obj.pop(key)
 
 
+def _after_mutation(k, edit):
+    """The b3 seed as ``mutate --fixture b3 --seq k`` writes it, then ``edit``."""
+    from cellseed.fixtures import load_seed
+    from cellseed.seedcore import mutate_seed, seed_to_dict
+
+    def apply(obj):
+        obj.update(seed_to_dict(mutate_seed(load_seed("b3"), k)))
+        edit(obj)
+
+    return apply
+
+
 class TestSeedFile:
     """A seed file is checked against its word before anything is lifted."""
 
@@ -324,8 +336,19 @@ class TestSeedFile:
             (_set(["labels", 5], {"path": [6]}), "frozen position 6 carries a mutation label"),
             (_set(["matrix", "entries", 0, 1], -1), "not skew-symmetrizable"),
             (_drop("word"), "malformed seed data"),
+            (_set(["word", 2], True), "word must hold only integers"),
+            (_set(["J", 0], True), "J must hold only integers"),
+            (_set(["history"], "abc"), "history must hold only integers"),
+            (_set(["history"], [6]), "history entry 6 is not a mutable position"),
+            (_set(["history"], [7]), "history entry 7 is not a mutable position"),
+            (_after_mutation(1, _set(["labels", 0], {"path": [2, 2, 2]})),
+             "label (2,2,2) at position 1 does not match the word 3,2,1,3,2,3 and history [1]"),
+            (_set(["labels", 0], {"path": []}),
+             "label () at position 1 does not match the word 3,2,1,3,2,3 and history []"),
         ],
-        ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key"],
+        ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key",
+             "bool-letter", "bool-J", "string-history", "frozen-history", "history-past-end",
+             "path-vs-history", "empty-path"],
     )
     def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
         obj = _b3_seed_dict()
@@ -345,12 +368,33 @@ class TestSeedFile:
         assert out == ""
         assert err.startswith("error: seed is not JSON")
 
+    def test_mutated_file_accepted(self, tmp_path, capsys):
+        obj = _b3_seed_dict()
+        _after_mutation(1, lambda _: None)(obj)
+        f = tmp_path / "b3-1.json"
+        f.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "mutate", "--seed-file", str(f), "--seq", "2")
+        assert code == 0
+        assert "1: (1)  (mutable)" in out and "2: (1,2)  (mutable)" in out
+
     def test_valid_file_accepted(self, tmp_path, capsys):
         f = tmp_path / "b3.json"
         f.write_text(json.dumps(_b3_seed_dict()))
         code, out, _ = run(capsys, "lift", "--seed-file", str(f), "--k", "2")
         assert code == 0
         assert "Δ{w2,(3,2)}·Δ{w3}^2 / Δ{w2}" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cartan", "B3", "--rng-seed", "1"], ["seed", "B3", "--J", "3", "--bhat-literal"]],
+    ids=["rng-seed-on-cartan", "bhat-literal-on-seed"],
+)
+def test_option_outside_its_commands_rejected(capsys, argv):
+    """--rng-seed belongs to verify, --bhat-literal to liftrel and flagseed."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 class TestMinorIndices:

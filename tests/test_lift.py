@@ -374,6 +374,13 @@ class TestCachedLifts:
             with pytest.raises(CellSeedError, match="position 1 holds a mutated variable"):
                 lift_relation(fs, k)
 
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_position_out_of_range(self, seed_b3, k):
+        from cellseed.lift import position_lift
+
+        with pytest.raises(CellSeedError, match=f"position {k} out of range 1..6"):
+            position_lift(seed_b3, k)
+
     def test_mutation_clears_the_cache_entry(self, seed_b3):
         fs = build_flag_seed(seed_b3)
         fs1 = mutate_flag_seed(fs, 2)

@@ -10,6 +10,7 @@ from cellseed import (
     MutationLabel,
     NonReducedWordError,
     ParabolicConfig,
+    Seed,
     Word,
     exchange_binomial,
     initial_matrix,
@@ -142,6 +143,15 @@ class TestMutation:
         s2 = mutate_seed(s, 2)
         assert s2.label(2) == MutationLabel((1, 2))
         assert s2.label(1) == MutationLabel((1,))
+
+    def test_seed_is_word_matrix_history(self, seed_b3):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(Seed)] == ["lie_type", "cfg", "word", "matrix", "history"]
+        s = mutate_seed(mutate_seed(mutate_seed(seed_b3, 1), 2), 1)
+        assert s.history == (1, 2, 1)
+        assert s.label(1) == MutationLabel((1, 2, 1))
+        assert s.labels[2:] == seed_b3.labels[2:]
 
 
 class TestExchangeBinomial:

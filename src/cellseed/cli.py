@@ -51,10 +51,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _lie_type(text: str) -> LieType:
-    return LieType.parse(text)
-
-
 def _resolve_seed(args) -> Seed:
     sources = [
         args.seed_file is not None,
@@ -70,7 +66,7 @@ def _resolve_seed(args) -> Seed:
             return seed_from_json(fh.read())
     if getattr(args, "fixture", None) is not None:
         return fixtures.load_seed(args.fixture)
-    lt = _lie_type(args.type)
+    lt = LieType.parse(args.type)
     if args.J is None:
         raise CellSeedError("--J is required with an explicit type")
     cfg = ParabolicConfig.from_j(lt, parse_subset(args.J))
@@ -79,7 +75,7 @@ def _resolve_seed(args) -> Seed:
 
 
 def cmd_cartan(args) -> int:
-    cm = cartan_matrix(_lie_type(args.type))
+    cm = cartan_matrix(LieType.parse(args.type))
     text = "\n".join(" ".join(f"{x:>2}" for x in row) for row in cm.entries)
     _emit(
         args,
@@ -94,7 +90,7 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_w0(args) -> int:
-    lt = _lie_type(args.type)
+    lt = LieType.parse(args.type)
     subset = parse_subset(args.subset) if args.subset else None
     w = longest_word(lt, subset)
     _emit(
@@ -107,7 +103,7 @@ def cmd_w0(args) -> int:
 
 
 def cmd_cellword(args) -> int:
-    lt = _lie_type(args.type)
+    lt = LieType.parse(args.type)
     cfg = ParabolicConfig.from_j(lt, parse_subset(args.J))
     w = cell_word(lt, cfg)
     _emit(
@@ -142,16 +138,17 @@ def cmd_liftrel(args) -> int:
     seed = _resolve_seed(args)
     fs = build_flag_seed(seed, bhat_literal=args.bhat_literal)
     rel = lift_relation(fs, args.k)
+    proj, column = project(rel), list(bhat_column(fs, rel.k))
     payload = {
         "k": rel.k,
-        "mu": {str(j): c for j, c in zip(rel.mu.js, rel.mu.coeffs) if c},
-        "nu": {str(j): c for j, c in zip(rel.nu.js, rel.nu.coeffs) if c},
+        "mu": rel.mu.as_dict(),
+        "nu": rel.nu.as_dict(),
         "terms": [lift_monomial_to_dict(t) for t in rel.terms],
-        "degree": {str(j): c for j, c in zip(rel.degree.js, rel.degree.coeffs) if c},
-        "bhat_column": list(bhat_column(fs, rel.k)),
-        "projection": str(project(rel)),
+        "degree": rel.degree.as_dict(),
+        "bhat_column": column,
+        "projection": str(proj),
     }
-    text = f"{rel}\n  projection: {project(rel)}\n  bhat column: {list(bhat_column(fs, rel.k))}"
+    text = f"{rel}\n  projection: {proj}\n  bhat column: {column}"
     _emit(args, payload, text)
     return 0
 

@@ -10,13 +10,16 @@ weight and the stripped word.  Reducedness is checked where a word enters:
 ``lift_minor`` and ``strip_word`` check a bare word, while a seed's word is
 checked once when the seed is made (``initial_seed``, ``seed_from_dict``);
 every prefix of a reduced word is reduced, so seed positions are lifted
-without a further check.  ``build_flag_seed`` lifts each position once and
-``FlagSeed`` keeps the lifts, which ``lift_relation`` multiplies.
+without a further check.  A ``FlagSeed`` is its cell seed and the degree and
+lift of each position; ``lift_relation`` multiplies the lifts.  The unit
+frozen variables and extension rows follow from the degrees, so they are
+derived when read, and a flag mutation computes only the relation at k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .rootsys import (
@@ -26,7 +29,6 @@ from .rootsys import (
     WeightVec,
     Word,
     check_letters,
-    is_reduced,
     reflect,
 )
 from .seedcore import (
@@ -34,6 +36,7 @@ from .seedcore import (
     SymbolicBinomial,
     exchange_binomial,
     mutate_seed,
+    require_reduced,
 )
 
 
@@ -91,6 +94,10 @@ class MultiDegree:
     def max(self, other: "MultiDegree") -> "MultiDegree":
         self._check(other)
         return MultiDegree(self.js, tuple(max(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+
+    def as_dict(self) -> dict[str, int]:
+        """JSON form: the nonzero coefficients keyed by their index in J."""
+        return {str(j): c for j, c in zip(self.js, self.coeffs) if c}
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -264,8 +271,7 @@ def _strip_result(word: Word, start: int, d: int) -> StripResult:
 def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
     if len(word) == 0 or word.letters[-1] != i_target:
         raise CellSeedError(f"word {word} must end with the letter {i_target}")
-    if not is_reduced(lie_type, word):
-        raise CellSeedError(f"word {word} is not reduced")
+    require_reduced(lie_type, word)
 
 
 def strip_word(lie_type: LieType, word: Word, i_target: int) -> StripResult:
@@ -355,18 +361,29 @@ class LiftedRelation:
 
 @dataclass(frozen=True)
 class FlagSeed:
-    """Cell seed with per-variable multi-degrees and the J-indexed extension rows.
+    """Cell seed with the multi-degree and the cached lift of each variable.
 
-    ``lifts`` caches the lift of each position, computed once by
-    ``build_flag_seed``; a mutated position holds None.
+    ``lifts`` holds the lift of each position, computed once by
+    ``build_flag_seed``; a mutated position holds None.  The unit frozen
+    variables and the J-indexed extension rows are derived on first read.
     """
 
     base: Seed
     degrees: tuple[MultiDegree, ...]
-    extension_rows: tuple[tuple[int, ...], ...]
-    unit_frozen: tuple[MinorSymbol, ...]
     lifts: tuple[Optional[LiftMonomial], ...] = field(compare=False, repr=False)
     bhat_literal: bool = False
+
+    @cached_property
+    def unit_frozen(self) -> tuple[MinorSymbol, ...]:
+        """Delta_{w_j} for j in J, each of degree w_j."""
+        rank, js = self.base.lie_type.rank, self.base.cfg.j_set
+        return tuple(MinorSymbol(j, WeightVec.fundamental(rank, j), Word(())) for j in js)
+
+    @cached_property
+    def extension_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row j of B-hat: the ``bhat_column`` entries over the mutable positions."""
+        cols = [bhat_column(self, k) for k in self.base.mutable_positions()]
+        return tuple(tuple(col[r] for col in cols) for r in range(len(self.base.cfg.j_set)))
 
     def degree(self, k: int) -> MultiDegree:
         return self.degrees[k - 1]
@@ -440,34 +457,22 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(alpha.coeffs, beta.coeffs))
 
 
-def _extension_rows(fs: FlagSeed) -> tuple[tuple[int, ...], ...]:
-    cols = [bhat_column(fs, k) for k in fs.base.mutable_positions()]
-    js = fs.base.cfg.j_set
-    return tuple(tuple(col[r] for col in cols) for r in range(len(js)))
-
-
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
-    """Extend a cell seed by lift degrees, unit frozen variables and B-hat rows."""
+    """Extend a cell seed by the lift and lift degree of each position."""
     lifts = tuple(position_lift(seed, k) for k in range(1, seed.size + 1))
-    units = tuple(
-        MinorSymbol(j, WeightVec.fundamental(seed.lie_type.rank, j), Word(()))
-        for j in seed.cfg.j_set
-    )
-    degrees = tuple(lift.degree for lift in lifts)
-    fs = FlagSeed(seed, degrees, (), units, lifts, bhat_literal)
-    return replace(fs, extension_rows=_extension_rows(fs))
+    return FlagSeed(seed, tuple(lift.degree for lift in lifts), lifts, bhat_literal)
 
 
 def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
-    """Mutate the base seed; the degree at k flips to max(deg M, deg L) - deg x_k."""
+    """Mutate the base seed; the degree at k flips to max(deg M, deg L) - deg x_k,
+    the one step of a walk that can leave the monoid."""
     _, _, _, top = _relation_exponents(fs, k)
     new_seed = mutate_seed(fs.base, k)
     degrees = list(fs.degrees)
     degrees[k - 1] = top - fs.degree(k)
     lifts = list(fs.lifts)
     lifts[k - 1] = None
-    out = replace(fs, base=new_seed, degrees=tuple(degrees), lifts=tuple(lifts))
-    return replace(out, extension_rows=_extension_rows(out))
+    return FlagSeed(new_seed, tuple(degrees), tuple(lifts), fs.bhat_literal)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +519,7 @@ def flag_seed_to_dict(fs: FlagSeed) -> dict:
 
     return {
         "seed": seed_to_dict(fs.base),
-        "degrees": [
-            {str(j): c for j, c in zip(d.js, d.coeffs) if c} for d in fs.degrees
-        ],
+        "degrees": [d.as_dict() for d in fs.degrees],
         "extension_rows": {
             str(j): list(row) for j, row in zip(fs.base.cfg.j_set, fs.extension_rows)
         },
@@ -538,7 +541,7 @@ def lift_monomial_to_dict(m: LiftMonomial) -> dict:
         ],
         "unit": {str(j): e for j, e in m.unit},
         "den": {str(i): e for i, e in m.den},
-        "degree": {str(j): c for j, c in zip(m.degree.js, m.degree.coeffs) if c},
+        "degree": m.degree.as_dict(),
     }
 
 

@@ -34,7 +34,7 @@ class NonReducedWordError(CellSeedError):
         )
 
 
-def _require_reduced(lie_type: LieType, word: Word) -> None:
+def require_reduced(lie_type: LieType, word: Word) -> None:
     pos = reduced_violation(lie_type, word)
     if pos is not None:
         raise NonReducedWordError(word, pos)
@@ -149,7 +149,7 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
     b_{jk} is +1 at j = p(k), -1 at j = s(k), the Cartan entry a_{i_j i_k}
     when j < k < s(j) < s(k), its negative when k < j < s(k) < s(j), else 0.
     """
-    _require_reduced(lie_type, word)
+    require_reduced(lie_type, word)
     data = successor_maps(word)
     cm = cartan_matrix(lie_type)
     letters = word.letters
@@ -313,7 +313,7 @@ def _check_seed(seed: Seed, labels: tuple[Label, ...], frozen: tuple[bool, ...])
     """Tie a seed to its word; read labels and frozen flags must equal the derived
     ones.  The word is checked only here and in ``initial_seed``."""
     word, matrix = seed.word, seed.matrix
-    _require_reduced(seed.lie_type, word)
+    require_reduced(seed.lie_type, word)
     if len(labels) != len(word):
         raise CellSeedError(f"{len(labels)} labels for a word of length {len(word)}")
     if frozen != seed.frozen_mask:
@@ -346,11 +346,12 @@ def _check_seed(seed: Seed, labels: tuple[Label, ...], frozen: tuple[bool, ...])
                 )
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of plain integers; JSON ``true`` is not 1 here."""
+def _only(values, what: str, kind: type = int) -> tuple:
+    """``values`` as a tuple of plain ints or bools; JSON ``true`` is not 1 here."""
     out = tuple(values)
-    if not all(type(x) is int for x in out):
-        raise CellSeedError(f"{what} must hold only integers, got {values!r}")
+    if not all(type(x) is kind for x in out):
+        noun = "integers" if kind is int else "booleans"
+        raise CellSeedError(f"{what} must hold only {noun}, got {values!r}")
     return out
 
 
@@ -359,19 +360,19 @@ def seed_from_dict(obj: dict) -> Seed:
     try:
         lie_type = LieType.parse(obj["type"])
         matrix = ExchangeMatrix(
-            _ints(obj["matrix"]["rows"], "matrix rows"),
-            _ints(obj["matrix"]["cols"], "matrix columns"),
-            tuple(_ints(row, "matrix entries") for row in obj["matrix"]["entries"]),
+            _only(obj["matrix"]["rows"], "matrix rows"),
+            _only(obj["matrix"]["cols"], "matrix columns"),
+            tuple(_only(row, "matrix entries") for row in obj["matrix"]["entries"]),
         )
         seed = Seed(
             lie_type,
-            ParabolicConfig.from_j(lie_type, _ints(obj["J"], "J")),
-            Word(_ints(obj["word"], "word")),
+            ParabolicConfig.from_j(lie_type, _only(obj["J"], "J")),
+            Word(_only(obj["word"], "word")),
             matrix,
-            _ints(obj.get("history", ()), "history"),
+            _only(obj.get("history", ()), "history"),
         )
         labels = tuple(_label_from_json(l) for l in obj["labels"])
-        _check_seed(seed, labels, tuple(bool(x) for x in obj["frozen"]))
+        _check_seed(seed, labels, _only(obj["frozen"], "frozen", bool))
     except (KeyError, TypeError, AttributeError) as exc:
         raise CellSeedError(f"malformed seed data: {exc!r}") from exc
     return seed

@@ -1,23 +1,37 @@
-"""The traced benchmark run wraps package functions by name; they must exist."""
+"""The benchmark's files drive the package by name and check its outputs
+against recorded references; both must keep holding."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import cellseed.cli  # noqa: F401  (imports every layer module)
+from cellseed import (
+    CellSeedError,
+    LieType,
+    ParabolicConfig,
+    build_flag_seed,
+    cell_word,
+    initial_seed,
+    mutate_flag_seed,
+)
+from cellseed.lift import flag_seed_to_dict
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
+WALK_REFERENCE = workloads.load_reference()["mutation-walk"]
 
 
 @pytest.mark.parametrize(
@@ -25,3 +39,24 @@ tracing = _load_tracing()
 )
 def test_span_target_exists(owner, attr):
     assert callable(getattr(tracing._resolve(owner), attr, None)), f"{owner}.{attr}"
+
+
+WALK_CELLS = [c for c in workloads.LADDER if c[0] == "A" and c[1] <= 8]
+
+
+@pytest.mark.parametrize("family,rank,js", WALK_CELLS, ids=[f"{f}{n}" for f, n, _ in WALK_CELLS])
+def test_flag_walks_match_reference(family, rank, js):
+    """Every recorded flag walk of A5-A8, known raises included, replays exactly."""
+    name = workloads.cell_name(family, rank)
+    lt = LieType(family, rank)
+    cfg = ParabolicConfig.from_j(lt, js)
+    start = build_flag_seed(initial_seed(lt, cfg, cell_word(lt, cfg)))
+    for w in range(workloads.WALK_POOL):
+        fs = start
+        try:
+            for k in workloads.walk_sequence(name, start.base.mutable_positions(), w):
+                fs = mutate_flag_seed(fs, k)
+            got = workloads.digest(json.dumps(flag_seed_to_dict(fs), sort_keys=True))
+        except CellSeedError as exc:
+            got = workloads.raised_text(exc)
+        assert got == WALK_REFERENCE[f"{name}/flag/{w}"], f"walk {w}"

@@ -339,6 +339,8 @@ class TestSeedFile:
             (_set(["word", 2], True), "word must hold only integers"),
             (_set(["J", 0], True), "J must hold only integers"),
             (_set(["history"], "abc"), "history must hold only integers"),
+            (_set(["frozen"], ["", "", "no", "", "no", "no"]), "frozen must hold only booleans"),
+            (_set(["frozen"], [0, 0, 1, 0, 1, 1]), "frozen must hold only booleans"),
             (_set(["history"], [6]), "history entry 6 is not a mutable position"),
             (_set(["history"], [7]), "history entry 7 is not a mutable position"),
             (_after_mutation(1, _set(["labels", 0], {"path": [2, 2, 2]})),
@@ -347,8 +349,8 @@ class TestSeedFile:
              "label () at position 1 does not match the word 3,2,1,3,2,3 and history []"),
         ],
         ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key",
-             "bool-letter", "bool-J", "string-history", "frozen-history", "history-past-end",
-             "path-vs-history", "empty-path"],
+             "bool-letter", "bool-J", "string-history", "string-frozen", "int-frozen",
+             "frozen-history", "history-past-end", "path-vs-history", "empty-path"],
     )
     def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
         obj = _b3_seed_dict()

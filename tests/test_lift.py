@@ -8,6 +8,7 @@ from cellseed import (
     LiftMonomial,
     MinorSymbol,
     MultiDegree,
+    NonReducedWordError,
     WeightVec,
     Word,
     apply_word,
@@ -278,6 +279,20 @@ class TestBuildFlagSeed:
         assert fs.extended_size() == 13
         assert [s.fund for s in fs.unit_frozen] == [1, 3]
 
+    def test_fields_are_seed_degrees_and_lifts(self):
+        from dataclasses import fields
+
+        from cellseed.lift import FlagSeed
+
+        assert [f.name for f in fields(FlagSeed)] == ["base", "degrees", "lifts", "bhat_literal"]
+
+    def test_rows_follow_the_sign_convention(self, seed_b3):
+        from dataclasses import replace
+
+        switched = replace(build_flag_seed(seed_b3), bhat_literal=True)
+        assert switched == build_flag_seed(seed_b3, bhat_literal=True)
+        assert switched.extension_rows == ((1, 0, 0),)
+
     def test_degrees_of_j_positions_are_fundamental(self, seed_a5):
         fs = build_flag_seed(seed_a5)
         for k in (1, 3, 7, 9, 11):
@@ -336,6 +351,26 @@ class TestMutateFlagSeed:
         fs = mutate_flag_seed(build_flag_seed(seed_b3), 1)
         assert fs.base.frozen_mask == seed_b3.frozen_mask
         assert len(fs.unit_frozen) == 1
+
+    def test_one_relation_per_step(self, monkeypatch):
+        """A flag step computes the exchange relation at k and no other."""
+        from cellseed import lift
+
+        fs = build_flag_seed(_cell_seed("A", 8, (1, 4)))
+        mutable = fs.base.mutable_positions()
+        calls = 0
+        exchange_binomial = lift.exchange_binomial
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return exchange_binomial(*args)
+
+        monkeypatch.setattr(lift, "exchange_binomial", counting)
+        rng = random.Random(0)  # a walk that stays in the monoid
+        for _ in range(20):
+            fs = mutate_flag_seed(fs, rng.choice(mutable))
+        assert calls == 20
 
 
 #: the cells of the lift ladder: A5-A14 with J={1,n//2}, B3-B10 with J={n}, E6-E8 with J={1}
@@ -417,6 +452,12 @@ class TestBareWordChecks:
     def test_lift_minor_rejects_non_reduced(self, a5, cfg_a5):
         with pytest.raises(CellSeedError, match="is not reduced"):
             lift_minor(a5, cfg_a5, Word.parse("1,1,2"), 2)
+
+    def test_non_reduced_names_the_prefix(self, a5, cfg_a5):
+        word = Word.parse("1,2,1,2,1,2")
+        for call in (lambda: strip_word(a5, word, 2), lambda: lift_minor(a5, cfg_a5, word, 2)):
+            with pytest.raises(NonReducedWordError, match=r"\(prefix 1,2,1,2\)"):
+                call()
 
     @pytest.mark.parametrize("word", ["1,1", "3,3"])
     def test_lift_minor_checks_words_in_j(self, a5, cfg_a5, word):

@@ -70,7 +70,7 @@ def _resolve_seed(args) -> Seed:
     if args.J is None:
         raise CellSeedError("--J is required with an explicit type")
     cfg = ParabolicConfig.from_j(lt, parse_subset(args.J))
-    word = Word.parse(args.word) if args.word else cell_word(lt, cfg)
+    word = Word.parse(args.word) if args.word is not None else cell_word(lt, cfg)
     return initial_seed(lt, cfg, word)
 
 
@@ -91,11 +91,11 @@ def cmd_cartan(args) -> int:
 
 def cmd_w0(args) -> int:
     lt = LieType.parse(args.type)
-    subset = parse_subset(args.subset) if args.subset else None
+    subset = parse_subset(args.subset) if args.subset is not None else None
     w = longest_word(lt, subset)
     _emit(
         args,
-        {"type": str(lt), "subset": list(subset) if subset else None,
+        {"type": str(lt), "subset": list(subset) if subset is not None else None,
          "word": list(w.letters), "length": len(w)},
         f"{w}  (length {len(w)})",
     )

@@ -5,14 +5,15 @@ element written as a product of flag minors, unit-minor powers and a
 unit-minor denominator.  The grading lives in the monoid spanned by the
 fundamental weights indexed by J.
 
-Each lift takes one right-to-left walk of its prefix, which yields both the
-weight and the stripped word.  Reducedness is checked where a word enters:
-``lift_minor`` and ``strip_word`` check a bare word, while a seed's word is
-checked once when the seed is made (``initial_seed``, ``seed_from_dict``);
-every prefix of a reduced word is reduced, so seed positions are lifted
-without a further check.  A ``FlagSeed`` is its cell seed and the degree and
-lift of each position; ``lift_relation`` multiplies the lifts.  The unit
-frozen variables and extension rows follow from the degrees, so they are
+One left-to-right pass over a word gives the weight W of every prefix minor
+(``rootsys.prefix_weights``); a prefix's stripped word starts at its first
+letter l with W[l] != 0.  Reducedness is checked where a word enters:
+``lift_minor`` and ``strip_word`` check a bare word, a seed's word is checked
+once when the seed is made, and every prefix of a reduced word is reduced.
+A ``FlagSeed`` is its cell seed and the degree and lift of each position.
+``lift_relation`` reads the nonzero entries of one exchange column and
+multiplies the lifts there, unit powers included, in one sorted product.  The
+unit frozen variables and extension rows follow from the degrees, so they are
 derived when read, and a flag mutation computes only the relation at k.
 """
 
@@ -29,15 +30,9 @@ from .rootsys import (
     WeightVec,
     Word,
     check_letters,
-    reflect,
+    prefix_weights,
 )
-from .seedcore import (
-    Seed,
-    SymbolicBinomial,
-    exchange_binomial,
-    mutate_seed,
-    require_reduced,
-)
+from .seedcore import Seed, mutate_seed, require_reduced
 
 
 class LiftDegreeError(CellSeedError):
@@ -88,13 +83,6 @@ class MultiDegree:
             raise CellSeedError(f"degree difference {diff} not in the monoid")
         return MultiDegree(self.js, diff)
 
-    def __rmul__(self, c: int) -> "MultiDegree":
-        return MultiDegree(self.js, tuple(c * x for x in self.coeffs))
-
-    def max(self, other: "MultiDegree") -> "MultiDegree":
-        self._check(other)
-        return MultiDegree(self.js, tuple(max(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
     def as_dict(self) -> dict[str, int]:
         """JSON form: the nonzero coefficients keyed by their index in J."""
         return {str(j): c for j, c in zip(self.js, self.coeffs) if c}
@@ -143,7 +131,8 @@ class MinorSymbol:
         return (self.kind, self.fund, self.weight.coeffs)
 
     def is_unit(self) -> bool:
-        return self.weight == WeightVec.fundamental(len(self.weight.coeffs), self.fund)
+        c = self.weight.coeffs
+        return 0 < self.fund <= len(c) and c[self.fund - 1] == 1 and c.count(0) == len(c) - 1
 
     def __str__(self) -> str:
         letter = "D" if self.kind == "restricted" else "Δ"
@@ -154,11 +143,15 @@ class MinorSymbol:
         return f"{letter}{{w{self.fund},{self.weight}}}"
 
 
+def _symbol_order(item: tuple[MinorSymbol, int]):
+    return item[0].sort_key()
+
+
 def _sorted_powers(raw: dict) -> tuple:
     items = [(s, e) for s, e in raw.items() if e]
     if any(e < 0 for _, e in items):
         raise CellSeedError("negative exponent")
-    key = (lambda it: it[0].sort_key()) if items and isinstance(items[0][0], MinorSymbol) else (lambda it: it[0])
+    key = _symbol_order if items and isinstance(items[0][0], MinorSymbol) else None
     return tuple(sorted(items, key=key))
 
 
@@ -184,36 +177,44 @@ class LiftMonomial:
         return cls((), (), (), MultiDegree.zero(js))
 
     @classmethod
+    def units(cls, degree: MultiDegree) -> "LiftMonomial":
+        """The unit monomial with exponent vector ``degree``, of that degree."""
+        return cls((), tuple((j, e) for j, e in zip(degree.js, degree.coeffs) if e), (), degree)
+
+    @classmethod
     def product(
         cls, js: Sequence[int], powers: Iterable[tuple["LiftMonomial", int]]
     ) -> "LiftMonomial":
-        """Product of ``m**e`` over ``powers``, normalized once at the end."""
+        """Product of ``m**e`` over ``powers``, sorted once at the end."""
+        js = tuple(js)
         num: dict[MinorSymbol, int] = {}
         unit: dict[int, int] = {}
         den: dict[int, int] = {}
-        degree = MultiDegree.zero(js)
+        degree = [0] * len(js)
         for mono, e in powers:
             if e < 0:
                 raise CellSeedError("negative power")
+            if mono.degree.js != js:
+                raise CellSeedError("degrees over different J")
+            if not e:
+                continue
             for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
                 for key, x in part:
                     acc[key] = acc.get(key, 0) + e * x
-            degree = degree + e * mono.degree
-        return cls.build(num, unit, den, degree)
+            degree = [a + e * c for a, c in zip(degree, mono.degree.coeffs)]
+        # every power is positive, so the three maps need only sorting
+        return cls(
+            tuple(sorted(num.items(), key=_symbol_order)),
+            tuple(sorted(unit.items())),
+            tuple(sorted(den.items())),
+            MultiDegree(js, tuple(degree)),
+        )
 
     def __mul__(self, other: "LiftMonomial") -> "LiftMonomial":
         return LiftMonomial.product(self.degree.js, ((self, 1), (other, 1)))
 
     def __pow__(self, e: int) -> "LiftMonomial":
         return LiftMonomial.product(self.degree.js, ((self, e),))
-
-    def times_units(self, extra: MultiDegree) -> "LiftMonomial":
-        """Multiply by the unit monomial with exponent vector ``extra``."""
-        unit = dict(self.unit)
-        for j, e in zip(extra.js, extra.coeffs):
-            if e:
-                unit[j] = unit.get(j, 0) + e
-        return LiftMonomial.build(dict(self.num), unit, dict(self.den), self.degree + extra)
 
     def __str__(self) -> str:
         factors = []
@@ -243,29 +244,19 @@ class StripResult:
     stripped: Word
 
 
-def _walk(lie_type: LieType, word: Word, i: int) -> tuple[WeightVec, int, int]:
-    """Apply ``word`` to w_i in one right-to-left walk of checked letters.
+def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
+    """Strip data of the k-th prefix of ``word`` from its weight W.
 
-    Returns word(w_i), the 1-based position of the leftmost letter pairing
-    nonzero with the weight of the suffix after it, and that pairing (0 and
-    0 when no letter acts).  A letter pairing to 0 fixes the weight, so only
-    the acting letters are reflected.
+    Letters left of the first acting one fix the weight of the suffix after
+    them, so that letter l is the first of the prefix with W[l] != 0, and it
+    pairs -W[l] with the weight of the suffix after it.
     """
     letters = word.letters
-    weight = WeightVec.fundamental(lie_type.rank, i)
-    start = d = 0
-    for t in range(len(letters) - 1, -1, -1):
-        c = weight.coeffs[letters[t] - 1]
-        if c:
-            start, d = t + 1, c
-            weight = reflect(lie_type, letters[t], weight)
-    return weight, start, d
-
-
-def _strip_result(word: Word, start: int, d: int) -> StripResult:
+    start = next(t for t in range(1, k + 1) if weight[letters[t - 1] - 1])
+    d = -weight[letters[start - 1] - 1]
     if d < 0:
         raise CellSeedError("negative pairing on a reduced word")
-    return StripResult(start, word.letters[start - 1], d, Word(word.letters[start - 1 :]))
+    return StripResult(start, letters[start - 1], d, Word(letters[start - 1 : k]))
 
 
 def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
@@ -276,8 +267,7 @@ def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
 
 def strip_word(lie_type: LieType, word: Word, i_target: int) -> StripResult:
     _require_strippable(lie_type, word, i_target)
-    _, start, d = _walk(lie_type, word, i_target)
-    return _strip_result(word, start, d)
+    return _strip_result(word, len(word), prefix_weights(lie_type, word)[-1])
 
 
 def lift_degree(
@@ -301,29 +291,25 @@ def lift_minor(
     """
     check_letters(lie_type, w_prefix)
     _require_strippable(lie_type, w_prefix, i)
-    return _lift(lie_type, cfg, w_prefix, i)
+    return _lift(cfg, w_prefix, len(w_prefix), prefix_weights(lie_type, w_prefix)[-1])
 
 
-def _lift(
-    lie_type: LieType, cfg: ParabolicConfig, w_prefix: Word, i: int
-) -> LiftMonomial:
-    """``lift_minor`` of a checked word, from one walk."""
-    weight, start, d = _walk(lie_type, w_prefix, i)
+def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> LiftMonomial:
+    """``lift_minor`` of the k-th prefix of a checked word, whose weight is ``weight``."""
+    i = word.letters[k - 1]
     if i in cfg.j_set:
-        sym = MinorSymbol(i, weight, w_prefix)
-        return LiftMonomial.build(
-            {sym: 1}, {}, {}, MultiDegree.fundamental(cfg.j_set, i)
-        )
-    res = _strip_result(w_prefix, start, d)
+        sym = MinorSymbol(i, WeightVec(weight), word.prefix(k))
+        return LiftMonomial(((sym, 1),), (), (), MultiDegree.fundamental(cfg.j_set, i))
+    res = _strip_result(word, k, weight)
     if res.j_star not in cfg.j_set:
         raise LiftDegreeError(
-            f"first acting letter {res.j_star} of {w_prefix} lies outside J={cfg.j_set}"
+            f"first acting letter {res.j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
         )
-    sym = MinorSymbol(i, weight, res.stripped)
-    return LiftMonomial.build(
-        {sym: 1},
-        {res.j_star: res.d},
-        {i: 1},
+    sym = MinorSymbol(i, WeightVec(weight), res.stripped)
+    return LiftMonomial(
+        ((sym, 1),),
+        ((res.j_star, res.d),),
+        ((i, 1),),
         MultiDegree.fundamental(cfg.j_set, res.j_star, res.d),
     )
 
@@ -337,11 +323,15 @@ def monomial_degree(
     if any(e < 0 for e in expo):
         raise CellSeedError("negative exponent")
     js = degrees[0].js if degrees else ()
-    total = MultiDegree.zero(js)
-    for d, e in zip(degrees, expo):
-        if e:
-            total = total + e * d
-    return total
+    return _support_degree(js, degrees, [(pos, e) for pos, e in enumerate(expo, start=1) if e])
+
+
+def _support_degree(
+    js: tuple[int, ...], degrees: Sequence[MultiDegree], support: list[tuple[int, int]]
+) -> MultiDegree:
+    """Sum of e*degrees[pos-1] over the (pos, e) in ``support``."""
+    sums = (sum(e * degrees[pos - 1].coeffs[r] for pos, e in support) for r in range(len(js)))
+    return MultiDegree(js, tuple(sums))
 
 
 @dataclass(frozen=True)
@@ -408,32 +398,37 @@ def position_lift(seed: Seed, k: int) -> LiftMonomial:
     if not 1 <= k <= seed.size:
         raise CellSeedError(f"position {k} out of range 1..{seed.size}")
     _require_minor(seed, k)
-    return _lift(seed.lie_type, seed.cfg, seed.word.prefix(k), seed.word.letters[k - 1])
+    prefix = seed.word.prefix(k)
+    return _lift(seed.cfg, prefix, k, prefix_weights(seed.lie_type, prefix)[-1])
 
 
 def _relation_exponents(
     fs: FlagSeed, k: int
-) -> tuple[SymbolicBinomial, MultiDegree, MultiDegree, MultiDegree]:
-    bino = exchange_binomial(fs.base, k)
-    d_m = monomial_degree(fs.degrees, bino.m_expo)
-    d_l = monomial_degree(fs.degrees, bino.l_expo)
-    top = d_m.max(d_l)
-    return bino, top - d_m, top - d_l, top
+) -> tuple[list, list, MultiDegree, MultiDegree, MultiDegree]:
+    """Supports of M_k and L_k from the nonzero entries of column k, in
+    position order, and the unit powers alpha, beta that lift both to the
+    degree top = max(deg M, deg L)."""
+    m_support: list[tuple[int, int]] = []
+    l_support: list[tuple[int, int]] = []
+    for j, b in sorted(fs.base.matrix.column(k).items()):
+        (m_support if b > 0 else l_support).append((j, abs(b)))
+    js = fs.base.cfg.j_set
+    d_m, d_l = (_support_degree(js, fs.degrees, sup).coeffs for sup in (m_support, l_support))
+    top = tuple(map(max, d_m, d_l))
+    alpha, beta = (MultiDegree(js, tuple(t - x for t, x in zip(top, d))) for d in (d_m, d_l))
+    return m_support, l_support, alpha, beta, MultiDegree(js, top)
 
 
 def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     """Lift the exchange relation at k; unit powers balance the two degrees."""
-    bino, alpha, beta, top = _relation_exponents(fs, k)
-    m_support, l_support = (
-        [(pos, e) for pos, e in enumerate(expo, start=1) if e]
-        for expo in (bino.m_expo, bino.l_expo)
-    )
+    m_support, l_support, alpha, beta, top = _relation_exponents(fs, k)
     for pos, _ in m_support + l_support:
         _require_minor(fs.base, pos)
 
-    def term(support: list[tuple[int, int]], extra: MultiDegree) -> LiftMonomial:
-        powers = ((fs.lifts[pos - 1], e) for pos, e in support)
-        return LiftMonomial.product(fs.base.cfg.j_set, powers).times_units(extra)
+    def term(support: list[tuple[int, int]], units: MultiDegree) -> LiftMonomial:
+        powers = [(fs.lifts[pos - 1], e) for pos, e in support]
+        powers.append((LiftMonomial.units(units), 1))
+        return LiftMonomial.product(fs.base.cfg.j_set, powers)
 
     t_m = term(m_support, alpha)
     t_l = term(l_support, beta)
@@ -449,7 +444,7 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     Default convention alpha_j - beta_j reproduces the worked matrices; the
     ``bhat_literal`` switch selects beta_j when nonzero, else -alpha_j.
     """
-    _, alpha, beta, _ = _relation_exponents(fs, k)
+    _, _, alpha, beta, _ = _relation_exponents(fs, k)
     if fs.bhat_literal:
         return tuple(
             b if b != 0 else -a for a, b in zip(alpha.coeffs, beta.coeffs)
@@ -458,15 +453,19 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
 
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
-    """Extend a cell seed by the lift and lift degree of each position."""
-    lifts = tuple(position_lift(seed, k) for k in range(1, seed.size + 1))
-    return FlagSeed(seed, tuple(lift.degree for lift in lifts), lifts, bhat_literal)
+    """Extend a cell seed by the lift and lift degree of each position, all
+    read from one pass of prefix weights."""
+    lifts = []
+    for k, weight in enumerate(prefix_weights(seed.lie_type, seed.word), start=1):
+        _require_minor(seed, k)
+        lifts.append(_lift(seed.cfg, seed.word, k, weight))
+    return FlagSeed(seed, tuple(lift.degree for lift in lifts), tuple(lifts), bhat_literal)
 
 
 def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
     """Mutate the base seed; the degree at k flips to max(deg M, deg L) - deg x_k,
     the one step of a walk that can leave the monoid."""
-    _, _, _, top = _relation_exponents(fs, k)
+    *_, top = _relation_exponents(fs, k)
     new_seed = mutate_seed(fs.base, k)
     degrees = list(fs.degrees)
     degrees[k - 1] = top - fs.degree(k)

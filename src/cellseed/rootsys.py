@@ -290,6 +290,32 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
     return weight
 
 
+@lru_cache(maxsize=None)
+def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l)."""
+    return tuple(tuple((l, a) for l, a in enumerate(r) if a) for r in _simple_roots(lie_type))
+
+
+def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
+    """Entry k-1 is s_{i1}...s_{ik}(w_{ik}), the weight of the k-th prefix minor.
+
+    One left-to-right pass keeps the image I_j of every fundamental weight
+    under the prefix read so far.  Since s_i(w_j) = w_j - [i = j] alpha_i and
+    alpha_i = sum_l a[l][i] w_l, letter i changes only I_i, to
+    I_i - sum_l a[l][i] I_l.  The letters must already be checked.
+    """
+    images = [WeightVec.fundamental(lie_type.rank, j).coeffs for j in lie_type.vertices]
+    supports = _root_supports(lie_type)
+    out = []
+    for i in word.letters:
+        image = images[i - 1]
+        for l, a in supports[i - 1]:
+            image = [x - a * y for x, y in zip(image, images[l])]
+        images[i - 1] = image = tuple(image)
+        out.append(image)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Weyl elements through their action on rho.
 

@@ -98,9 +98,11 @@ class ExchangeMatrix:
         return self.entries[self.row_labels.index(j)][self.col_labels.index(k)]
 
     def column(self, k: int) -> dict[int, int]:
-        """Column k as a map from row position to entry."""
+        """The nonzero entries of column k, keyed by row position."""
+        if k not in self.col_labels:
+            raise CellSeedError(f"position {k} is not mutable")
         c = self.col_labels.index(k)
-        return {j: row[c] for j, row in zip(self.row_labels, self.entries)}
+        return {j: row[c] for j, row in zip(self.row_labels, self.entries) if row[c]}
 
     def principal_part(self) -> tuple[tuple[int, ...], ...]:
         rows = {j: row for j, row in zip(self.row_labels, self.entries)}
@@ -148,33 +150,37 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
 
     b_{jk} is +1 at j = p(k), -1 at j = s(k), the Cartan entry a_{i_j i_k}
     when j < k < s(j) < s(k), its negative when k < j < s(k) < s(j), else 0.
+    A letter i_j = i_k meets neither chain, so column k is filled only at
+    p(k), s(k) and the positions whose letter is adjacent to i_k.
     """
     require_reduced(lie_type, word)
     data = successor_maps(word)
     cm = cartan_matrix(lie_type)
     letters = word.letters
-    m = len(letters)
-    INF = m + 1  # stands in for +infinity in the strict chains below
-
-    def s(k: int) -> int:
-        v = data.s[k - 1]
-        return INF if v is None else v
+    INF = len(letters) + 1  # stands in for +infinity in the strict chains below
+    s = [INF if v is None else v for v in data.s]
+    at: dict[int, list[int]] = {}
+    for j, i in enumerate(letters, start=1):
+        at.setdefault(i, []).append(j)
 
     mutable = data.mutable_positions()
     row_labels = mutable + data.frozen_positions()
-
-    def entry(j: int, k: int) -> int:
-        if j == data.p[k - 1]:
-            return 1
-        if j == data.s[k - 1]:
-            return -1
-        if j < k < s(j) < s(k):
-            return cm.entry(letters[j - 1], letters[k - 1])
-        if k < j < s(k) < s(j):
-            return -cm.entry(letters[j - 1], letters[k - 1])
-        return 0
-
-    entries = tuple(tuple(entry(j, k) for k in mutable) for j in row_labels)
+    rows = {j: [0] * len(mutable) for j in row_labels}
+    for c, k in enumerate(mutable):
+        i, sk = letters[k - 1], s[k - 1]
+        if data.p[k - 1] is not None:
+            rows[data.p[k - 1]][c] = 1
+        rows[sk][c] = -1
+        for l, positions in at.items():
+            a = cm.entry(l, i)
+            if l == i or not a:
+                continue
+            for j in positions:
+                if j < k < s[j - 1] < sk:
+                    rows[j][c] = a
+                elif k < j < sk < s[j - 1]:
+                    rows[j][c] = -a
+    entries = tuple(tuple(rows[j]) for j in row_labels)
     return ExchangeMatrix(row_labels, mutable, entries)
 
 
@@ -260,14 +266,12 @@ def initial_seed(lie_type: LieType, cfg: ParabolicConfig, word: Word) -> Seed:
 
 def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
     """Exponents of M_k (entries b_{ik} > 0) and L_k (entries b_{ik} < 0)."""
-    if k not in seed.matrix.col_labels:
-        raise CellSeedError(f"position {k} is not mutable")
     m_expo = [0] * seed.size
     l_expo = [0] * seed.size
     for j, b in seed.matrix.column(k).items():
         if b > 0:
             m_expo[j - 1] = b
-        elif b < 0:
+        else:
             l_expo[j - 1] = -b
     return SymbolicBinomial(tuple(m_expo), tuple(l_expo))
 

@@ -7,9 +7,11 @@ from cellseed import (
     ParabolicConfig,
     Word,
     cartan_matrix,
+    cell_word,
     initial_seed,
     reflect,
 )
+from cellseed.rootsys import reduced_violation
 from cellseed.fixtures import A5_WORD, B3_WORD, load_seed
 
 
@@ -105,3 +107,24 @@ def braid_moves(lie_type, word, rng, attempts=30):
         if seg == expected:
             letters[pos : pos + m] = [j if t % 2 == 0 else i for t in range(m)]
     return Word(tuple(letters))
+
+
+#: the cells of the lift ladder: A5-A14 with J={1,n//2}, B3-B10 with J={n}, E6-E8 with J={1}
+LADDER = (
+    [("A", n, (1, n // 2)) for n in range(5, 15)]
+    + [("B", n, (n,)) for n in range(3, 11)]
+    + [("E", n, (1,)) for n in (6, 7, 8)]
+)
+
+
+def reduced_words(count=260, seed=11):
+    """The ladder cell words, then ``count`` random words of several finite
+    types, each cut before its first letter that shortens it."""
+    out = []
+    for family, rank, js in LADDER:
+        lt = LieType(family, rank)
+        out.append((lt, cell_word(lt, ParabolicConfig.from_j(lt, js))))
+    for lt, word in random_words(random.Random(seed), count):
+        pos = reduced_violation(lt, word)
+        out.append((lt, word if pos is None else word.prefix(pos - 1)))
+    return out

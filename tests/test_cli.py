@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cellseed
 from cellseed.cli import main
 
 
@@ -14,12 +16,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+#: the child process imports the package from where this process found it
+PACKAGE_PATH = os.pathsep.join(
+    p for p in (str(Path(cellseed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")) if p
+)
+
+
 def run_proc(*argv, stdin=""):
     return subprocess.run(
         [sys.executable, "-m", "cellseed.cli", *argv],
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
     )
 
 
@@ -56,6 +65,16 @@ class TestWords:
         code, out, _ = run(capsys, "w0", "A5", "--json")
         assert json.loads(out)["length"] == 15
 
+    @pytest.mark.parametrize("subset", ["", "{}"])
+    def test_w0_empty_subset(self, capsys, subset):
+        # both spellings of the empty subset give the identity, not w0
+        code, out, _ = run(capsys, "w0", "B3", "--subset", subset, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["subset"], data["word"], data["length"]) == ([], [], 0)
+        code, out, _ = run(capsys, "w0", "B3", "--subset", subset)
+        assert (code, out) == (0, "  (length 0)\n")
+
     def test_cellword(self, capsys):
         code, out, _ = run(capsys, "cellword", "A5", "--J", "{1,3}", "--json")
         data = json.loads(out)
@@ -82,6 +101,15 @@ class TestSeed:
         code, out, _ = run(capsys, "seed", "A2", "--J", "1,2")
         assert code == 0
         assert "(frozen)" in out
+
+    def test_empty_word_is_the_identity_cell(self, capsys):
+        code, out, _ = run(capsys, "seed", "A3", "--J", "1", "--word", "", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["word"], data["labels"], data["matrix"]["entries"]) == ([], [], [])
+        code, out, _ = run(capsys, "seed", "A3", "--J", "1", "--word", "")
+        assert code == 0 and out.splitlines()[0] == "seed A3  J={1}  word "
+        assert ": D{" not in out
 
     def test_non_reduced_diagnostic(self, capsys):
         code, _, err = run(capsys, "seed", "A5", "--J", "1", "--word", "1,1")
@@ -123,6 +151,11 @@ class TestLift:
     def test_position_out_of_range(self, capsys):
         code, _, err = run(capsys, "lift", *A5_ARGS, "--k", "12")
         assert code == 2
+
+    def test_empty_word_has_no_position(self, capsys):
+        code, out, err = run(capsys, "lift", "A3", "--J", "1", "--word", "", "--k", "1")
+        assert (code, out) == (2, "")
+        assert "position 1 out of range" in err
 
     def test_mutated_position_rejected(self, tmp_path, capsys):
         code, out, _ = run(capsys, "mutate", "--fixture", "b3", "--seq", "1", "--json")

@@ -21,10 +21,13 @@ from cellseed import (
     monomial_degree,
     mutate_flag_seed,
     project,
+    reflect,
     strip_word,
 )
 from cellseed.fixtures import A5_WORD, B3_WORD
 from cellseed.lift import RestrictedMonomial, RestrictedSum
+from cellseed.rootsys import prefix_weights
+from conftest import LADDER, reduced_words
 
 
 def deg(js, **kw):
@@ -353,32 +356,24 @@ class TestMutateFlagSeed:
         assert len(fs.unit_frozen) == 1
 
     def test_one_relation_per_step(self, monkeypatch):
-        """A flag step computes the exchange relation at k and no other."""
-        from cellseed import lift
+        """A flag step reads the exchange column at k and no other."""
+        from cellseed import ExchangeMatrix
 
         fs = build_flag_seed(_cell_seed("A", 8, (1, 4)))
         mutable = fs.base.mutable_positions()
         calls = 0
-        exchange_binomial = lift.exchange_binomial
+        column = ExchangeMatrix.column
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return exchange_binomial(*args)
+            return column(*args)
 
-        monkeypatch.setattr(lift, "exchange_binomial", counting)
+        monkeypatch.setattr(ExchangeMatrix, "column", counting)
         rng = random.Random(0)  # a walk that stays in the monoid
         for _ in range(20):
             fs = mutate_flag_seed(fs, rng.choice(mutable))
         assert calls == 20
-
-
-#: the cells of the lift ladder: A5-A14 with J={1,n//2}, B3-B10 with J={n}, E6-E8 with J={1}
-LADDER = (
-    [("A", n, (1, n // 2)) for n in range(5, 15)]
-    + [("B", n, (n,)) for n in range(3, 11)]
-    + [("E", n, (1,)) for n in (6, 7, 8)]
-)
 
 
 def _cell_seed(family, rank, js):
@@ -422,26 +417,74 @@ class TestCachedLifts:
         assert fs1.lifts[1] is None
         assert fs1.lifts[:1] + fs1.lifts[2:] == fs.lifts[:1] + fs.lifts[2:]
 
-    def test_one_walk_per_position(self, monkeypatch):
-        """build_flag_seed plus every lift_relation reflects at most m(m+1)/2 times."""
+    def test_one_table_pass_and_no_reflection(self, monkeypatch):
+        """build_flag_seed plus every lift_relation never reflects, and the
+        prefix-weight table advances exactly one step per letter."""
         from cellseed import lift, rootsys
 
         seed = _cell_seed("A", 14, (1, 7))
-        m = len(seed.word)
-        calls = 0
-        reflect = rootsys.reflect
+        reflections = steps = 0
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
+        def counting_reflect(*args):
+            nonlocal reflections
+            reflections += 1
             return reflect(*args)
 
-        monkeypatch.setattr(rootsys, "reflect", counting)
-        monkeypatch.setattr(lift, "reflect", counting)
+        def counting_table(lie_type, word):
+            nonlocal steps
+            steps += len(word)
+            return prefix_weights(lie_type, word)
+
+        monkeypatch.setattr(rootsys, "reflect", counting_reflect)
+        monkeypatch.setattr(lift, "prefix_weights", counting_table)
         fs = build_flag_seed(seed)
         for k in seed.mutable_positions():
             lift_relation(fs, k)
-        assert 0 < calls <= m * (m + 1) // 2
+        assert not hasattr(lift, "reflect")
+        assert reflections == 0
+        assert steps == len(seed.word)
+
+
+def _right_to_left_strip(lt, word, i):
+    """(start, d) by the defining walk: apply ``word`` to w_i from the right;
+    start is the leftmost letter pairing nonzero with the weight of the
+    suffix after it, d that pairing."""
+    weight = WeightVec.fundamental(lt.rank, i)
+    start = d = 0
+    for t in range(len(word) - 1, -1, -1):
+        letter = word.letters[t]
+        if weight.pairing(letter):
+            start, d = t + 1, weight.pairing(letter)
+        weight = reflect(lt, letter, weight)
+    return start, d
+
+
+class TestWeightTable:
+    """The prefix-weight pass against apply_word and the right-to-left walk,
+    on the ladder cells and on random reduced words."""
+
+    WORDS = reduced_words()
+
+    def test_enough_words(self):
+        assert sum(1 for lt, w in self.WORDS[len(LADDER):] if len(w)) >= 200
+        assert {lt.family for lt, _ in self.WORDS} == set("ABCDEFG")
+
+    def test_weights_equal_apply_word(self):
+        for lt, word in self.WORDS:
+            table = prefix_weights(lt, word)
+            assert len(table) == len(word)
+            for k, i in enumerate(word.letters, start=1):
+                want = apply_word(lt, word.prefix(k), WeightVec.fundamental(lt.rank, i))
+                assert table[k - 1] == want.coeffs, f"{lt} {word} position {k}"
+
+    def test_strip_equals_right_to_left_walk(self):
+        for lt, word in self.WORDS:
+            for k, i in enumerate(word.letters, start=1):
+                prefix = word.prefix(k)
+                r = strip_word(lt, prefix, i)
+                assert (r.start, r.d) == _right_to_left_strip(lt, prefix, i), f"{lt} {prefix}"
+                assert r.j_star == prefix.letters[r.start - 1]
+                assert r.stripped == Word(prefix.letters[r.start - 1 :])
 
 
 class TestBareWordChecks:

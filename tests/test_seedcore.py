@@ -21,6 +21,7 @@ from cellseed import (
     successor_maps,
 )
 from cellseed.fixtures import A5_WORD, B3_WORD
+from conftest import reduced_words
 
 
 B3_MATRIX_ROWS = {
@@ -218,6 +219,65 @@ class TestMutationProperties:
             for a in range(c):
                 for b in range(c):
                     assert d[a] * pp[a][b] == -d[b] * pp[b][a]
+
+
+def _dense_initial_matrix(lt, word):
+    """The four-case formula at every (row, column), p and s found by scanning."""
+    from cellseed import cartan_matrix
+
+    cm = cartan_matrix(lt)
+    letters = word.letters
+    m = len(letters)
+    same = lambda k: [j for j in range(1, m + 1) if letters[j - 1] == letters[k - 1]]
+    p = {k: max((j for j in same(k) if j < k), default=None) for k in range(1, m + 1)}
+    s = {k: min((j for j in same(k) if j > k), default=m + 1) for k in range(1, m + 1)}
+
+    def entry(j, k):
+        a = cm.entry(letters[j - 1], letters[k - 1])
+        if j == p[k]:
+            return 1
+        if j == s[k]:
+            return -1
+        if j < k < s[j] < s[k]:
+            return a
+        if k < j < s[k] < s[j]:
+            return -a
+        return 0
+
+    cols = tuple(k for k in range(1, m + 1) if s[k] <= m)
+    rows = cols + tuple(k for k in range(1, m + 1) if s[k] > m)
+    return ExchangeMatrix(rows, cols, tuple(tuple(entry(j, k) for k in cols) for j in rows))
+
+
+class TestSparseFill:
+    """initial_matrix fills only p(k), s(k) and adjacent letters; the dense
+    formula is the oracle."""
+
+    WORDS = reduced_words()
+
+    def test_equals_dense_formula(self):
+        for lt, word in self.WORDS:
+            assert initial_matrix(lt, word) == _dense_initial_matrix(lt, word), f"{lt} {word}"
+
+    def test_column_holds_the_nonzero_entries(self):
+        for lt, word in self.WORDS[:40]:
+            m = initial_matrix(lt, word)
+            seed = initial_seed(lt, ParabolicConfig(lt.rank, (1,)), word)
+            for k in m.col_labels:
+                want = {j: m.entry(j, k) for j in m.row_labels if m.entry(j, k)}
+                assert m.column(k) == want
+                b = exchange_binomial(seed, k)
+                assert {j: e for j, e in enumerate(b.m_expo, 1) if e} == {
+                    j: x for j, x in want.items() if x > 0
+                }
+                assert {j: e for j, e in enumerate(b.l_expo, 1) if e} == {
+                    j: -x for j, x in want.items() if x < 0
+                }
+
+    def test_column_of_frozen_position_rejected(self, seed_b3):
+        for k in (3, 7):
+            with pytest.raises(CellSeedError, match=f"position {k} is not mutable"):
+                seed_b3.matrix.column(k)
 
 
 class TestColumnCounts:

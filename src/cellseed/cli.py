@@ -75,12 +75,13 @@ def _resolve_seed(args) -> Seed:
 
 
 def cmd_cartan(args) -> int:
-    cm = cartan_matrix(LieType.parse(args.type))
+    lt = LieType.parse(args.type)
+    cm = cartan_matrix(lt)
     text = "\n".join(" ".join(f"{x:>2}" for x in row) for row in cm.entries)
     _emit(
         args,
         {
-            "type": args.type.upper().replace(" ", ""),
+            "type": str(lt),
             "entries": [list(r) for r in cm.entries],
             "symmetrizers": list(cm.symmetrizers()),
         },

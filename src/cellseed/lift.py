@@ -187,7 +187,9 @@ class LiftMonomial:
     ) -> "LiftMonomial":
         """Product of ``m**e`` over ``powers``, sorted once at the end."""
         js = tuple(js)
-        num: dict[MinorSymbol, int] = {}
+        # keyed by MinorSymbol.sort_key(), which equality also reads; the
+        # first instance of a symbol is the one kept
+        num: dict[tuple, list] = {}
         unit: dict[int, int] = {}
         den: dict[int, int] = {}
         degree = [0] * len(js)
@@ -198,13 +200,15 @@ class LiftMonomial:
                 raise CellSeedError("degrees over different J")
             if not e:
                 continue
-            for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
+            for sym, x in mono.num:
+                num.setdefault((sym.kind, sym.fund, sym.weight.coeffs), [sym, 0])[1] += e * x
+            for acc, part in ((unit, mono.unit), (den, mono.den)):
                 for key, x in part:
                     acc[key] = acc.get(key, 0) + e * x
             degree = [a + e * c for a, c in zip(degree, mono.degree.coeffs)]
         # every power is positive, so the three maps need only sorting
         return cls(
-            tuple(sorted(num.items(), key=_symbol_order)),
+            tuple(tuple(num[key]) for key in sorted(num)),
             tuple(sorted(unit.items())),
             tuple(sorted(den.items())),
             MultiDegree(js, tuple(degree)),
@@ -330,7 +334,9 @@ def _support_degree(
     js: tuple[int, ...], degrees: Sequence[MultiDegree], support: list[tuple[int, int]]
 ) -> MultiDegree:
     """Sum of e*degrees[pos-1] over the (pos, e) in ``support``."""
-    sums = (sum(e * degrees[pos - 1].coeffs[r] for pos, e in support) for r in range(len(js)))
+    sums = [0] * len(js)
+    for pos, e in support:
+        sums = [s + e * c for s, c in zip(sums, degrees[pos - 1].coeffs)]
     return MultiDegree(js, tuple(sums))
 
 
@@ -504,13 +510,16 @@ def project(x: Union[LiftMonomial, LiftedRelation]) -> Union[RestrictedMonomial,
     """Set every unit minor to 1 and re-tag flag symbols as restricted minors."""
     if isinstance(x, LiftedRelation):
         return RestrictedSum(tuple(project(t) for t in x.terms))
-    factors = {}
-    for sym, e in x.num:
-        if sym.is_unit():
-            continue
-        d = MinorSymbol(sym.fund, sym.weight, sym.word, "restricted")
-        factors[d] = factors.get(d, 0) + e
-    return RestrictedMonomial(_sorted_powers(factors))
+    # Every num the package builds (``build``, ``product``, ``_lift``) is
+    # sorted by sort_key() with one kind, distinct symbols and positive
+    # powers.  Re-tagging every symbol keeps all three, so nothing merges.
+    return RestrictedMonomial(
+        tuple(
+            (MinorSymbol(sym.fund, sym.weight, sym.word, "restricted"), e)
+            for sym, e in x.num
+            if not sym.is_unit()
+        )
+    )
 
 
 def flag_seed_to_dict(fs: FlagSeed) -> dict:

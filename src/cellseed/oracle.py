@@ -55,6 +55,8 @@ def _sample_columns(
 
     The product is upper unitriangular, so column c is zero below row c.
     """
+    if n < 1:
+        raise CellSeedError(f"matrix size must be at least 1, got {n}")
     rng = random.Random(rng_seed)
     cols = [(1, (0,) * c + (1,)) for c in range(n)]
     for i in letters:

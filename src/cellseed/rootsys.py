@@ -10,7 +10,15 @@ determined by w^{-1}(rho), and l(ws) > l(w) exactly when
 <alpha_s^vee, w^{-1}(rho)> > 0 (Bjorner-Brenti, Combinatorics of Coxeter
 Groups, section 4).  One walk along a word, reflecting rho letter by letter,
 therefore gives its length, its first non-reduced position, and the right
-descents from which reduced words are peeled.
+descents from which reduced words are peeled.  These walks reflect a
+coefficient list in place, touching only the (at most four) nonzero
+coordinates of alpha_i.
+
+The longest element w_0 acts as lambda -> -sigma(lambda), where sigma is the
+diagram involution (Bjorner-Brenti, section 4; Bourbaki, plates I-IX), and
+l(w_0) = |Phi+| = n h / 2 for the Coxeter number h.  So the cell word
+u = w_{K,0} w_0 is peeled from u^{-1}(rho) = -sigma(w_{K,0}(rho)) without a
+word for w_0.
 """
 
 from __future__ import annotations
@@ -296,6 +304,14 @@ def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(tuple((l, a) for l, a in enumerate(r) if a) for r in _simple_roots(lie_type))
 
 
+def _reflect_in_place(supports, mu: list[int], i: int) -> None:
+    """s_i on a coefficient list, with ``supports`` from ``_root_supports``."""
+    c = mu[i - 1]
+    if c:
+        for l, a in supports[i - 1]:
+            mu[l] -= c * a
+
+
 def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     """Entry k-1 is s_{i1}...s_{ik}(w_{ik}), the weight of the k-th prefix minor.
 
@@ -320,13 +336,46 @@ def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
 # Weyl elements through their action on rho.
 
 
-def _rho(lie_type: LieType) -> WeightVec:
-    return WeightVec((1,) * lie_type.rank)
+def _inverse_rho(lie_type: LieType, word: Word) -> list[int]:
+    """w^{-1}(rho) for the element w of a checked ``word``; it determines w.
+
+    Reflecting rho by the letters left to right gives s_ir...s_i1(rho).
+    """
+    supports = _root_supports(lie_type)
+    mu = [1] * lie_type.rank
+    for i in word.letters:
+        _reflect_in_place(supports, mu, i)
+    return mu
 
 
-def _inverse_rho(lie_type: LieType, word: Word) -> WeightVec:
-    """w^{-1}(rho) for the element w of ``word``; it determines w."""
-    return apply_word(lie_type, Word(tuple(reversed(word.letters))), _rho(lie_type))
+_EXCEPTIONAL_COXETER = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
+
+
+def _positive_root_count(lie_type: LieType) -> int:
+    """|Phi+| = l(w_0) = n h / 2, with h the Coxeter number."""
+    n = lie_type.rank
+    h = _EXCEPTIONAL_COXETER.get(str(lie_type))
+    if h is None:
+        h = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[lie_type.family]
+    return n * h // 2
+
+
+def _diagram_involution(lie_type: LieType) -> tuple[int, ...]:
+    """sigma as 0-based images: w_0(w_i) = -w_{sigma(i)}."""
+    n = lie_type.rank
+    sigma = list(range(n))
+    if lie_type.family == "A":
+        sigma.reverse()
+    elif lie_type.family == "D" and n % 2:
+        sigma[n - 2], sigma[n - 1] = n - 1, n - 2
+    elif str(lie_type) == "E6":
+        sigma = [5, 1, 4, 3, 2, 0]
+    return tuple(sigma)
+
+
+def _longest_image(lie_type: LieType, mu: list[int]) -> list[int]:
+    """w_0(mu) = -sigma(mu); sigma is an involution, so coordinate i reads sigma(i)."""
+    return [-mu[s] for s in _diagram_involution(lie_type)]
 
 
 def _length_steps(lie_type: LieType, word: Word):
@@ -336,10 +385,11 @@ def _length_steps(lie_type: LieType, word: Word):
     exactly when <alpha_i^vee, mu> > 0.
     """
     check_letters(lie_type, word)
-    mu = _rho(lie_type)
-    for i in word:
-        yield 1 if mu.pairing(i) > 0 else -1
-        mu = reflect(lie_type, i, mu)
+    supports = _root_supports(lie_type)
+    mu = [1] * lie_type.rank
+    for i in word.letters:
+        yield 1 if mu[i - 1] > 0 else -1
+        _reflect_in_place(supports, mu, i)
 
 
 def word_length(lie_type: LieType, word: Word) -> int:
@@ -369,37 +419,40 @@ def longest_word(lie_type: LieType, subset: Iterable[int] | None = None) -> Word
     for i in verts:
         if not 1 <= i <= lie_type.rank:
             raise CellSeedError(f"vertex {i} out of range for {lie_type}")
-    mu = WeightVec(tuple(-1 if i in verts else 0 for i in lie_type.vertices))
+    mu = [-1 if i in verts else 0 for i in lie_type.vertices]
     return _reduced_word_of(lie_type, mu, verts)
 
 
 def _reduced_word_of(
-    lie_type: LieType, mu: WeightVec, letters: Iterable[int] | None = None
+    lie_type: LieType, mu: list[int], letters: Iterable[int] | None = None
 ) -> Word:
-    """Word peeled from ``mu``: the smallest descent among ``letters`` (default:
-    every vertex), a letter i with <alpha_i^vee, mu> < 0, until none is left.
+    """Word peeled from ``mu``, which is consumed: the smallest descent among
+    ``letters`` (default: every vertex), a letter i with <alpha_i^vee, mu> < 0,
+    until none is left.
 
     Over every vertex and mu = w^{-1}(rho) this is a reduced word for w.
     """
     letters = tuple(lie_type.vertices if letters is None else letters)
+    supports = _root_supports(lie_type)
     rev: list[int] = []
     while True:
-        i = next((i for i in letters if mu.pairing(i) < 0), None)
+        i = next((i for i in letters if mu[i - 1] < 0), None)
         if i is None:
             return Word(tuple(reversed(rev)))
         rev.append(i)
-        mu = reflect(lie_type, i, mu)
+        _reflect_in_place(supports, mu, i)
 
 
 def cell_word(lie_type: LieType, cfg: ParabolicConfig) -> Word:
     """Reduced word u with w_{K,0} * u = w_0 and lengths adding up."""
     if cfg.rank != lie_type.rank:
         raise CellSeedError("configuration rank does not match the type")
-    w0 = longest_word(lie_type)
     wk = longest_word(lie_type, cfg.k_set)
-    # u is w_{K,0}^{-1} w_0, and w_{K,0} is an involution
-    u = _reduced_word_of(lie_type, _inverse_rho(lie_type, wk + w0))
-    assert len(wk) + len(u) == len(w0), "parabolic factorization must be additive"
+    # u = w_{K,0} w_0 since w_{K,0} is an involution, so u^{-1}(rho) = w_0(w_{K,0}(rho))
+    u = _reduced_word_of(lie_type, _longest_image(lie_type, _inverse_rho(lie_type, wk)))
+    assert len(wk) + len(u) == _positive_root_count(lie_type), (
+        "parabolic factorization must be additive"
+    )
     return u
 
 
@@ -435,7 +488,7 @@ def two_step_A_words(n: int, j1: int, j2: int) -> tuple[Word, Word, Word, Word]:
     u3 = _staircase(j2 + 1, n)
     k_word = u1 + u2 + u3
 
-    target = _inverse_rho(lt, k_word + longest_word(lt))  # k_word is an involution
+    target = _longest_image(lt, _inverse_rho(lt, k_word))  # k_word is an involution
     want_len = n + (n - j2) * (j2 - 1) + j1 * (j2 - j1)
 
     head = tuple(range(1, n + 1))

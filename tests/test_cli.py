@@ -48,6 +48,12 @@ class TestCartan:
         code, out, _ = run(capsys, "cartan", "A2", "--json")
         assert json.loads(out)["entries"] == [[2, -1], [-1, 2]]
 
+    @pytest.mark.parametrize("text", ["b\t3", "b3", " B 3 "])
+    def test_json_type_is_canonical(self, capsys, text):
+        code, out, _ = run(capsys, "cartan", text, "--json")
+        assert code == 0
+        assert json.loads(out)["type"] == "B3"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "cartan", "Z9")
         assert code == 2
@@ -267,6 +273,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    @pytest.mark.parametrize("line", ["1 = 1", "D{1|1} = 1"])
+    def test_matrix_size_below_one_rejected(self, tmp_path, capsys, size, line):
+        # an empty sample used to PASS any constant identity
+        f = tmp_path / "const.txt"
+        f.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--file", str(f), "--n", size, "--cell-word", "")
+        assert code == 2
+        assert out == ""
+        assert f"matrix size must be at least 1, got {size}" in err
 
     def test_file_requires_context(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"

@@ -335,6 +335,30 @@ class TestProject:
                 assert relifted == mono
 
 
+    @pytest.mark.parametrize("family,rank,js", LADDER, ids=[f"{f}{n}" for f, n, _ in LADDER])
+    def test_equals_merged_projection(self, family, rank, js):
+        seed = _cell_seed(family, rank, js)
+        fs = build_flag_seed(seed)
+        for mono in fs.lifts:
+            got, want = project(mono), _merged_projection(mono)
+            assert got == want and str(got) == str(want)
+        for k in seed.mutable_positions():
+            rel = lift_relation(fs, k)
+            got = project(rel)
+            want = RestrictedSum(tuple(_merged_projection(t) for t in rel.terms))
+            assert got == want and str(got) == str(want)
+
+
+def _merged_projection(mono):
+    """Projection by merging the re-tagged non-unit symbols in a dict, then sorting."""
+    factors = {}
+    for sym, e in mono.num:
+        if not sym.is_unit():
+            d = MinorSymbol(sym.fund, sym.weight, sym.word, "restricted")
+            factors[d] = factors.get(d, 0) + e
+    return RestrictedMonomial(tuple(sorted(factors.items(), key=lambda item: item[0].sort_key())))
+
+
 class TestMutateFlagSeed:
     def test_degree_rule_b3_k1(self, seed_b3):
         fs = build_flag_seed(seed_b3)
@@ -528,3 +552,15 @@ def test_product_matches_repeated_multiplication(seed_b3, seed_a5):
             fast = LiftMonomial.product(js, picks)
             assert fast == slow and str(fast) == str(slow)
         assert lifts[0] ** 0 == LiftMonomial.one(js)
+
+
+def test_product_keeps_first_word(a5):
+    # s1 s2 s1 = s2 s1 s2: one symbol, two words; equality ignores the word
+    first, second = flag_symbol(a5, "1,2,1", 1), flag_symbol(a5, "2,1,2", 1)
+    assert first == second and first.word != second.word
+    js = (1, 3)
+    m1 = LiftMonomial(((first, 1),), (), (), deg(js, w1=1))
+    m2 = LiftMonomial(((second, 2),), (), (), deg(js, w1=2))
+    for powers, word in (([(m1, 2), (m2, 1)], first.word), ([(m2, 1), (m1, 2)], second.word)):
+        (sym, e), = LiftMonomial.product(js, powers).num
+        assert e == 4 and sym.word == word

@@ -344,6 +344,17 @@ class TestVerifyIdentity:
         with pytest.raises(CellSeedError, match="at least one sample"):
             sampled_multidegree(D([1], [2]), (1, 9), 6, A5_WORD, samples=samples)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_matrix_size_below_one(self, n):
+        e = expr((1, ()))
+        for check in (
+            lambda: cell_sample(n, Word(()), 0),
+            lambda: verify_identity(e, e, n, Word(()), samples=3),
+            lambda: sampled_multidegree(D([1], [1]), (1,), n, Word(()), samples=3),
+        ):
+            with pytest.raises(CellSeedError, match=f"matrix size must be at least 1, got {n}"):
+                check()
+
     def test_out_of_bounds(self):
         with pytest.raises(CellSeedError):
             eval_minor(D([7], [7]), identity_matrix(6))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,12 @@ from cellseed import (
     two_step_A_words,
     word_length,
 )
-from cellseed.rootsys import is_reduced, reduced_violation
+from cellseed.rootsys import (
+    _diagram_involution,
+    _positive_root_count,
+    is_reduced,
+    reduced_violation,
+)
 
 from conftest import braid_moves, positive_roots, random_words
 
@@ -27,6 +33,27 @@ from conftest import braid_moves, positive_roots, random_words
 def rho_image(lie_type, word):
     """w(rho) for the element w of ``word``; rho is regular, so it determines w."""
     return apply_word(lie_type, word, WeightVec((1,) * lie_type.rank))
+
+
+def types_up_to(a, b, c, d):
+    """A1..Aa, B2..Bb, C2..Cc, D4..Dd and every exceptional type."""
+    bounds = (("A", 1, a), ("B", 2, b), ("C", 2, c), ("D", 4, d))
+    return [LieType(f, n) for f, lo, hi in bounds for n in range(lo, hi + 1)] + [
+        LieType(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+    ]
+
+
+def cell_word_through_w0(lt, cfg):
+    """The cell word peeled from (w_{K,0} w_0)^{-1}(rho), with w_0 as a word."""
+    total = longest_word(lt, cfg.k_set) + longest_word(lt)
+    mu = apply_word(lt, Word(tuple(reversed(total.letters))), WeightVec((1,) * lt.rank))
+    rev = []
+    while True:
+        i = next((i for i in lt.vertices if mu.pairing(i) < 0), None)
+        if i is None:
+            return Word(tuple(reversed(rev)))
+        rev.append(i)
+        mu = reflect(lt, i, mu)
 
 
 class TestCartan:
@@ -212,6 +239,31 @@ class TestCellWord:
                 wk = longest_word(lt, cfg.k_set)
                 total = wk + u
                 assert word_length(lt, total) == len(total) == len(longest_word(lt))
+
+
+    @pytest.mark.parametrize("lt", types_up_to(14, 10, 8, 9), ids=str)
+    def test_equals_construction_through_w0(self, lt):
+        # every J up to rank 6, every J of size at most 3 above
+        sizes = range(1, lt.rank + 1) if lt.rank <= 6 else range(1, 4)
+        for size in sizes:
+            for js in itertools.combinations(lt.vertices, size):
+                cfg = ParabolicConfig.from_j(lt, js)
+                assert cell_word(lt, cfg) == cell_word_through_w0(lt, cfg), js
+
+
+class TestLongestElement:
+    @pytest.mark.parametrize("lt", types_up_to(8, 8, 8, 8), ids=str)
+    def test_acts_as_minus_sigma(self, lt):
+        w0 = longest_word(lt)
+        sigma = _diagram_involution(lt)
+        for i in lt.vertices:
+            image = apply_word(lt, w0, WeightVec.fundamental(lt.rank, i))
+            assert -1 * image == WeightVec.fundamental(lt.rank, sigma[i - 1] + 1)
+
+    @pytest.mark.parametrize("lt", types_up_to(8, 8, 8, 8), ids=str)
+    def test_length_from_coxeter_number(self, lt):
+        roots = positive_roots(lt, tuple(lt.vertices))
+        assert _positive_root_count(lt) == len(roots) == len(longest_word(lt))
 
 
 class TestTwoStepWords:

@@ -51,6 +51,15 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _read_text(path: str) -> str:
+    """The text of a file given on the command line, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CellSeedError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_seed(args) -> Seed:
     sources = [
         args.seed_file is not None,
@@ -62,8 +71,7 @@ def _resolve_seed(args) -> Seed:
             "give exactly one seed source: TYPE with --J/--word, --seed-file, or --fixture"
         )
     if args.seed_file is not None:
-        with open(args.seed_file) as fh:
-            return seed_from_json(fh.read())
+        return seed_from_json(_read_text(args.seed_file))
     if getattr(args, "fixture", None) is not None:
         return fixtures.load_seed(args.fixture)
     lt = LieType.parse(args.type)
@@ -207,13 +215,8 @@ def _verify_lines(args) -> tuple[int, Word, list[str]]:
         raise CellSeedError("give --fixture or an expression file")
     if args.n is None or args.cell_word is None:
         raise CellSeedError("--n and --cell-word are required with an expression file")
-    with open(args.file) as fh:
-        lines = [
-            ln.strip()
-            for ln in fh
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-    return args.n, Word.parse(args.cell_word), lines
+    lines = [ln.strip() for ln in _read_text(args.file).split("\n")]
+    return args.n, Word.parse(args.cell_word), [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def cmd_verify(args) -> int:

@@ -11,10 +11,12 @@ letter l with W[l] != 0.  Reducedness is checked where a word enters:
 ``lift_minor`` and ``strip_word`` check a bare word, a seed's word is checked
 once when the seed is made, and every prefix of a reduced word is reduced.
 A ``FlagSeed`` is its cell seed and the degree and lift of each position.
-``lift_relation`` reads the nonzero entries of one exchange column and
-multiplies the lifts there, unit powers included, in one sorted product.  The
-unit frozen variables and extension rows follow from the degrees, so they are
-derived when read, and a flag mutation computes only the relation at k.
+``lift_relation`` reads the nonzero entries of one exchange column; deg M,
+deg L, their maximum and the unit powers are int tuples over J, and each term
+is built from the sort key, symbol, unit and den powers of the lifts there,
+which the flag seed derives once.  The unit frozen variables and extension
+rows follow from the degrees, so they are derived when read, and a flag
+mutation computes only the relation at k.
 """
 
 from __future__ import annotations
@@ -177,11 +179,6 @@ class LiftMonomial:
         return cls((), (), (), MultiDegree.zero(js))
 
     @classmethod
-    def units(cls, degree: MultiDegree) -> "LiftMonomial":
-        """The unit monomial with exponent vector ``degree``, of that degree."""
-        return cls((), tuple((j, e) for j, e in zip(degree.js, degree.coeffs) if e), (), degree)
-
-    @classmethod
     def product(
         cls, js: Sequence[int], powers: Iterable[tuple["LiftMonomial", int]]
     ) -> "LiftMonomial":
@@ -327,17 +324,18 @@ def monomial_degree(
     if any(e < 0 for e in expo):
         raise CellSeedError("negative exponent")
     js = degrees[0].js if degrees else ()
-    return _support_degree(js, degrees, [(pos, e) for pos, e in enumerate(expo, start=1) if e])
+    support = [(pos, e) for pos, e in enumerate(expo, start=1) if e]
+    return MultiDegree(js, _support_sum(degrees, support, len(js)))
 
 
-def _support_degree(
-    js: tuple[int, ...], degrees: Sequence[MultiDegree], support: list[tuple[int, int]]
-) -> MultiDegree:
-    """Sum of e*degrees[pos-1] over the (pos, e) in ``support``."""
-    sums = [0] * len(js)
+def _support_sum(
+    degrees: Sequence[MultiDegree], support: list[tuple[int, int]], width: int
+) -> tuple[int, ...]:
+    """Coefficients of the sum of e*degrees[pos-1] over the (pos, e) in ``support``."""
+    sums = [0] * width
     for pos, e in support:
         sums = [s + e * c for s, c in zip(sums, degrees[pos - 1].coeffs)]
-    return MultiDegree(js, tuple(sums))
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,7 @@ class FlagSeed:
 
     ``lifts`` holds the lift of each position, computed once by
     ``build_flag_seed``; a mutated position holds None.  The unit frozen
-    variables and the J-indexed extension rows are derived on first read.
+    variables, lift parts and J-indexed extension rows are derived when read.
     """
 
     base: Seed
@@ -374,6 +372,14 @@ class FlagSeed:
         """Delta_{w_j} for j in J, each of degree w_j."""
         rank, js = self.base.lie_type.rank, self.base.cfg.j_set
         return tuple(MinorSymbol(j, WeightVec.fundamental(rank, j), Word(())) for j in js)
+
+    @cached_property
+    def lift_parts(self) -> tuple[Optional[tuple], ...]:
+        """(sort key, symbol, unit, den) of each position's one-symbol lift, or None."""
+        return tuple(
+            None if m is None else (m.num[0][0].sort_key(), m.num[0][0], m.unit, m.den)
+            for m in self.lifts
+        )
 
     @cached_property
     def extension_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -408,40 +414,54 @@ def position_lift(seed: Seed, k: int) -> LiftMonomial:
     return _lift(seed.cfg, prefix, k, prefix_weights(seed.lie_type, prefix)[-1])
 
 
-def _relation_exponents(
-    fs: FlagSeed, k: int
-) -> tuple[list, list, MultiDegree, MultiDegree, MultiDegree]:
+def _relation_exponents(fs: FlagSeed, k: int) -> tuple:
     """Supports of M_k and L_k from the nonzero entries of column k, in
-    position order, and the unit powers alpha, beta that lift both to the
-    degree top = max(deg M, deg L)."""
+    position order, then deg M, deg L and the unit powers alpha, beta that
+    lift both to top = max(deg M, deg L), all five as int tuples over J."""
     m_support: list[tuple[int, int]] = []
     l_support: list[tuple[int, int]] = []
     for j, b in sorted(fs.base.matrix.column(k).items()):
         (m_support if b > 0 else l_support).append((j, abs(b)))
-    js = fs.base.cfg.j_set
-    d_m, d_l = (_support_degree(js, fs.degrees, sup).coeffs for sup in (m_support, l_support))
+    width = len(fs.base.cfg.j_set)
+    d_m, d_l = (_support_sum(fs.degrees, sup, width) for sup in (m_support, l_support))
     top = tuple(map(max, d_m, d_l))
-    alpha, beta = (MultiDegree(js, tuple(t - x for t, x in zip(top, d))) for d in (d_m, d_l))
-    return m_support, l_support, alpha, beta, MultiDegree(js, top)
+    alpha, beta = (tuple(t - x for t, x in zip(top, d)) for d in (d_m, d_l))
+    return m_support, l_support, d_m, d_l, top, alpha, beta
 
 
 def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     """Lift the exchange relation at k; unit powers balance the two degrees."""
-    m_support, l_support, alpha, beta, top = _relation_exponents(fs, k)
+    m_support, l_support, d_m, d_l, top, alpha, beta = _relation_exponents(fs, k)
     for pos, _ in m_support + l_support:
         _require_minor(fs.base, pos)
+    js, parts = fs.base.cfg.j_set, fs.lift_parts
+    degree = MultiDegree(js, top)
 
-    def term(support: list[tuple[int, int]], units: MultiDegree) -> LiftMonomial:
-        powers = [(fs.lifts[pos - 1], e) for pos, e in support]
-        powers.append((LiftMonomial.units(units), 1))
-        return LiftMonomial.product(fs.base.cfg.j_set, powers)
+    def term(support: list[tuple[int, int]], units: tuple[int, ...]) -> LiftMonomial:
+        num, unit, den = [], {j: e for j, e in zip(js, units) if e}, {}
+        for pos, e in support:
+            key, sym, lift_unit, lift_den = parts[pos - 1]
+            num.append((key, sym, e))
+            for j, x in lift_unit:
+                unit[j] = unit.get(j, 0) + e * x
+            for i, x in lift_den:
+                den[i] = den.get(i, 0) + e * x
+        # Positions p < q of a reduced word with one letter i differ in weight:
+        # letters p+1..q form a reduced word ending in i, which moves w_i.  So
+        # the keys differ, nothing merges, and the sort never compares symbols.
+        num.sort()
+        return LiftMonomial(
+            tuple((sym, e) for _, sym, e in num),
+            tuple(sorted(unit.items())),
+            tuple(sorted(den.items())),
+            degree,
+        )
 
-    t_m = term(m_support, alpha)
-    t_l = term(l_support, beta)
-    assert all(min(a, b) == 0 for a, b in zip(alpha.coeffs, beta.coeffs))
-    assert t_m.degree == t_l.degree == top
+    assert all(min(a, b) == 0 for a, b in zip(alpha, beta))
+    assert all(m + a == t == l + b for m, a, l, b, t in zip(d_m, alpha, d_l, beta, top))
+    terms = (term(m_support, alpha), term(l_support, beta))
     left = (f"~x[{k}]", f"~x'[{k}]")
-    return LiftedRelation(k, left, alpha, beta, (t_m, t_l), top)
+    return LiftedRelation(k, left, MultiDegree(js, alpha), MultiDegree(js, beta), terms, degree)
 
 
 def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
@@ -450,12 +470,10 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     Default convention alpha_j - beta_j reproduces the worked matrices; the
     ``bhat_literal`` switch selects beta_j when nonzero, else -alpha_j.
     """
-    _, _, alpha, beta, _ = _relation_exponents(fs, k)
+    *_, alpha, beta = _relation_exponents(fs, k)
     if fs.bhat_literal:
-        return tuple(
-            b if b != 0 else -a for a, b in zip(alpha.coeffs, beta.coeffs)
-        )
-    return tuple(a - b for a, b in zip(alpha.coeffs, beta.coeffs))
+        return tuple(b if b != 0 else -a for a, b in zip(alpha, beta))
+    return tuple(a - b for a, b in zip(alpha, beta))
 
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
@@ -471,10 +489,10 @@ def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
 def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
     """Mutate the base seed; the degree at k flips to max(deg M, deg L) - deg x_k,
     the one step of a walk that can leave the monoid."""
-    *_, top = _relation_exponents(fs, k)
+    top = _relation_exponents(fs, k)[4]
     new_seed = mutate_seed(fs.base, k)
     degrees = list(fs.degrees)
-    degrees[k - 1] = top - fs.degree(k)
+    degrees[k - 1] = MultiDegree(fs.base.cfg.j_set, top) - fs.degree(k)
     lifts = list(fs.lifts)
     lifts[k - 1] = None
     return FlagSeed(new_seed, tuple(degrees), tuple(lifts), fs.bhat_literal)

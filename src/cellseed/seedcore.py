@@ -377,7 +377,9 @@ def seed_from_dict(obj: dict) -> Seed:
         )
         labels = tuple(_label_from_json(l) for l in obj["labels"])
         _check_seed(seed, labels, _only(obj["frozen"], "frozen", bool))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except KeyError as exc:
+        raise CellSeedError(f"malformed seed data: missing key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
         raise CellSeedError(f"malformed seed data: {exc!r}") from exc
     return seed
 
@@ -391,6 +393,8 @@ def seed_from_json(text: str) -> Seed:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CellSeedError(f"seed is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CellSeedError("seed JSON is nested too deeply") from exc
     return seed_from_dict(obj)
 
 

@@ -386,6 +386,7 @@ class TestSeedFile:
             (_set(["labels", 5], {"path": [6]}), "frozen position 6 carries a mutation label"),
             (_set(["matrix", "entries", 0, 1], -1), "not skew-symmetrizable"),
             (_drop("word"), "malformed seed data"),
+            (_drop("type"), "error: malformed seed data: missing key 'type'"),
             (_set(["word", 2], True), "word must hold only integers"),
             (_set(["J", 0], True), "J must hold only integers"),
             (_set(["history"], "abc"), "history must hold only integers"),
@@ -399,7 +400,7 @@ class TestSeedFile:
              "label () at position 1 does not match the word 3,2,1,3,2,3 and history []"),
         ],
         ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key",
-             "bool-letter", "bool-J", "string-history", "string-frozen", "int-frozen",
+             "missing-type", "bool-letter", "bool-J", "string-history", "string-frozen", "int-frozen",
              "frozen-history", "history-past-end", "path-vs-history", "empty-path"],
     )
     def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
@@ -419,6 +420,19 @@ class TestSeedFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: seed is not JSON")
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [(b"\xff\xfe{", "is not UTF-8 text"), (b"[" * 1400, "seed JSON is nested too deeply")],
+        ids=["not-utf8", "too-deep"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, capsys, data, message):
+        f = tmp_path / "bad.json"
+        f.write_bytes(data)
+        code, out, err = run(capsys, "seed", "--seed-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_mutated_file_accepted(self, tmp_path, capsys):
         obj = _b3_seed_dict()
@@ -450,6 +464,14 @@ def test_option_outside_its_commands_rejected(capsys, argv):
 
 
 class TestMinorIndices:
+    def test_non_utf8_expression_file_rejected(self, tmp_path, capsys):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes("D{1|1} = D{1|1}  # é\n".encode("latin-1"))
+        code, out, err = run(capsys, "verify", "--file", str(f), "--n", "3", "--cell-word", "1,2,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "is not UTF-8 text" in err
+
     def test_repeated_index_rejected(self, tmp_path, capsys):
         # used to evaluate the repeated-row minor as 0: a vacuous PASS
         f = tmp_path / "repeat.txt"

@@ -469,6 +469,126 @@ class TestCachedLifts:
         assert steps == len(seed.word)
 
 
+def _product_relation(fs, k):
+    """The lifted relation at k as one ``LiftMonomial.product`` per term, the
+    unit powers given as a unit monomial."""
+    from cellseed.lift import LiftedRelation
+
+    column = sorted(fs.base.matrix.column(k).items())
+    supports = ([(j, b) for j, b in column if b > 0], [(j, -b) for j, b in column if b < 0])
+    for pos, _ in supports[0] + supports[1]:
+        if fs.lifts[pos - 1] is None:
+            raise CellSeedError(
+                f"position {pos} holds a mutated variable; its lift expression is not a minor"
+            )
+    js, size = fs.base.cfg.j_set, fs.base.size
+    d_m, d_l = (
+        monomial_degree(fs.degrees, [dict(sup).get(p, 0) for p in range(1, size + 1)])
+        for sup in supports
+    )
+    top = MultiDegree(js, tuple(map(max, d_m.coeffs, d_l.coeffs)))
+    alpha, beta = top - d_m, top - d_l
+    terms = tuple(
+        LiftMonomial.product(
+            js,
+            [(fs.lifts[pos - 1], e) for pos, e in sup]
+            + [(LiftMonomial((), tuple((j, x) for j, x in zip(js, u.coeffs) if x), (), u), 1)],
+        )
+        for sup, u in zip(supports, (alpha, beta))
+    )
+    return LiftedRelation(k, (f"~x[{k}]", f"~x'[{k}]"), alpha, beta, terms, top)
+
+
+def _outcome(make, fs, k):
+    try:
+        rel = make(fs, k)
+    except CellSeedError as exc:
+        return "raised", str(exc)
+    return rel, str(rel), [t.degree for t in rel.terms]
+
+
+class TestRelationFromParts:
+    """``lift_relation`` builds its terms from the flag seed's lift parts."""
+
+    @pytest.mark.parametrize("family,rank,js", LADDER, ids=[f"{f}{n}" for f, n, _ in LADDER])
+    def test_equals_product_construction(self, family, rank, js):
+        fs = build_flag_seed(_cell_seed(family, rank, js))
+        for k in fs.base.mutable_positions():
+            got, want = lift_relation(fs, k), _product_relation(fs, k)
+            assert got == want and str(got) == str(want), f"k={k}"
+
+    def test_equals_product_construction_on_reduced_words(self):
+        """Every seed of a reduced word whose lifts exist for J = {j}; in B, C
+        and G2 some relations raise a lift with a unit to a power above 1."""
+        from cellseed import LiftDegreeError, ParabolicConfig, initial_seed
+
+        powers = 0
+        for lt, word in reduced_words():
+            for j in range(1, lt.rank + 1):
+                try:
+                    fs = build_flag_seed(initial_seed(lt, ParabolicConfig.from_j(lt, (j,)), word))
+                except LiftDegreeError:
+                    continue
+                for k in fs.base.mutable_positions():
+                    got, want = lift_relation(fs, k), _product_relation(fs, k)
+                    assert got == want and str(got) == str(want), f"{lt} {word} J={{{j}}} k={k}"
+                    column = fs.base.matrix.column(k).items()
+                    powers += any(abs(b) > 1 and fs.lifts[p - 1].unit for p, b in column)
+        assert powers
+
+    @pytest.mark.parametrize("rank", [5, 6, 7, 8])
+    def test_equals_product_construction_on_walks(self, rank):
+        start = build_flag_seed(_cell_seed("A", rank, (1, rank // 2)))
+        mutable = start.base.mutable_positions()
+        rng = random.Random(rank)
+        raised = 0
+        for _ in range(4):
+            fs = start
+            for _ in range(6):
+                try:
+                    fs = mutate_flag_seed(fs, rng.choice(mutable))
+                except CellSeedError:
+                    break
+                for k in mutable:
+                    got = _outcome(lift_relation, fs, k)
+                    assert got == _outcome(_product_relation, fs, k), f"k={k}"
+                    raised += got[0] == "raised"
+        assert raised
+
+    def test_positions_have_distinct_sort_keys(self):
+        """Positions of a reduced word have distinct (fund, weight), so a
+        relation's numerator needs no merging."""
+        for family, rank, js in LADDER:
+            keys = [part[0] for part in build_flag_seed(_cell_seed(family, rank, js)).lift_parts]
+            assert len(set(keys)) == len(keys)
+        for lt, word in reduced_words():
+            weights = prefix_weights(lt, word)
+            keys = [MinorSymbol(i, WeightVec(w)).sort_key() for i, w in zip(word, weights)]
+            assert len(set(keys)) == len(keys), f"{lt} {word}"
+
+    def test_three_degrees_and_no_product(self, monkeypatch):
+        fs = build_flag_seed(_cell_seed("A", 14, (1, 7)))
+        fs.lift_parts
+        degrees = 0
+        post_init = MultiDegree.__post_init__
+
+        def counting(self):
+            nonlocal degrees
+            degrees += 1
+            post_init(self)
+
+        def no_product(cls, js, powers):
+            raise AssertionError("LiftMonomial.product called")
+
+        monkeypatch.setattr(MultiDegree, "__post_init__", counting)
+        monkeypatch.setattr(LiftMonomial, "product", classmethod(no_product))
+        for k in fs.base.mutable_positions():
+            degrees = 0
+            rel = lift_relation(fs, k)
+            assert degrees == 3
+            assert rel.terms[0].degree is rel.terms[1].degree is rel.degree
+
+
 def _right_to_left_strip(lt, word, i):
     """(start, d) by the defining walk: apply ``word`` to w_i from the right;
     start is the leftmost letter pairing nonzero with the weight of the

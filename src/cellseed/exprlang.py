@@ -8,6 +8,9 @@ Grammar (whitespace insensitive):
     ints   := int (',' int)*
 
 Example: ``D{1,3|5,6} - D{1|2}*D{2,3|5,6}^2 + 3``.
+
+A term's degree, the sum of its exponents, is at most ``MAX_TERM_DEGREE``:
+evaluating a minor to a huge power would run without end.
 """
 
 from __future__ import annotations
@@ -22,9 +25,21 @@ class ExprParseError(CellSeedError):
     pass
 
 
+# Shipped identities have term degree at most 5 (the a5 fixture's lifted
+# relations; the formula seeds of A3-A25 reach 3) and exponents at most 2.
+MAX_TERM_DEGREE = 32
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<minor>D\{[\d,\s]+\|[\d,\s]+\})|(?P<int>\d+)|(?P<op>[-+*^]))"
 )
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # empty, inner spaces, or past the digit limit of int()
+        raise ExprParseError(f"bad integer {text.strip()[:20]!r}") from None
 
 
 def _tokens(text: str):
@@ -39,7 +54,7 @@ def _tokens(text: str):
         if m.group("minor"):
             yield ("minor", m.group("minor"))
         elif m.group("int"):
-            yield ("int", int(m.group("int")))
+            yield ("int", _int(m.group("int")))
         else:
             yield ("op", m.group("op"))
 
@@ -47,8 +62,8 @@ def _tokens(text: str):
 def _parse_minor(tok: str) -> MinorSpec:
     body = tok[2:-1]
     rows_txt, cols_txt = body.split("|")
-    rows = tuple(int(x) for x in rows_txt.split(","))
-    cols = tuple(int(x) for x in cols_txt.split(","))
+    rows = tuple(_int(x) for x in rows_txt.split(","))
+    cols = tuple(_int(x) for x in cols_txt.split(","))
     try:
         return MinorSpec(rows, cols)
     except CellSeedError as exc:
@@ -69,6 +84,9 @@ def parse_expr(text: str) -> MinorExpr:
         nonlocal coef, factors, started, sign
         if not started:
             raise ExprParseError("empty term")
+        degree = sum(e for _, e in factors)
+        if degree > MAX_TERM_DEGREE:
+            raise ExprParseError(f"term degree {degree} exceeds {MAX_TERM_DEGREE}")
         terms.append((sign * (1 if coef is None else coef), tuple(factors)))
         coef, factors, started = None, [], False
 

@@ -7,11 +7,14 @@ translated minors.  Translating by x_j(t) changes one row or one column, so
 such a minor is affine in t and its degree is 1 exactly when one other minor
 is nonzero.
 
-Everything is exact over the rationals: samples and minors are ``Fraction``
-values, but the arithmetic runs on integers.  A sample is built as integer
-columns with one denominator each and kept in a bounded memo, and a minor
-clears its row denominators and takes the determinant by fraction-free
-(Bareiss) elimination.
+Everything is exact over the rationals, but the arithmetic runs on integers.
+A sample is built as integer columns with one denominator each and kept in a
+bounded memo.  ``verify_identity`` and ``sampled_multidegree`` take every
+minor straight from those columns: the determinant of the selected integer
+numerators, by fraction-free (Bareiss) elimination, over one product of
+column denominators.  Minor values are memoized too, since the identities of
+a cell share their samples.  ``eval_minor`` on a ``Fraction`` matrix clears
+its row denominators and runs the same integer kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .rootsys import CellSeedError, WeightVec, Word
 from .lift import MinorSymbol, RestrictedMonomial, RestrictedSum
@@ -45,6 +48,10 @@ def _random_rational(rng: random.Random) -> Fraction:
 # Samples kept by ``_sample_columns``; a verify or degree pass revisits the
 # same few (size, word, seed) triples many times.
 _SAMPLE_MEMO = 128
+# Minor values kept by ``_sample_minor``; the identities of a cell share one
+# sampling base, so most of their (sample, minor) pairs repeat.  On the
+# oracle-exact benchmark 512 entries (about 160 KiB) hit as often as 1024.
+_MINOR_MEMO = 512
 
 
 @lru_cache(maxsize=_SAMPLE_MEMO)
@@ -165,24 +172,40 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
     return _det(sub)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by Bareiss elimination on the rows scaled to integers.
+@lru_cache(maxsize=_MINOR_MEMO)
+def _sample_minor(
+    n: int, letters: tuple[int, ...], rng_seed: int, rows: tuple[int, ...], cols: tuple[int, ...]
+) -> Fraction:
+    """Minor of ``cell_sample`` from its integer columns; column c is 0 below row c."""
+    columns = _sample_columns(n, letters, rng_seed)
+    sample = [columns[c - 1] for c in cols]
+    m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
+    return Fraction(_int_det(m), math.prod(d for d, _ in sample))
 
-    Each step divides exactly by the previous pivot, so every entry stays an
-    integer minor of the scaled matrix (Bareiss, Math. Comp. 1968).
-    """
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of the rows scaled to integers, then divided back."""
     scale = 1
     m = []
     for row in rows:
         s = math.lcm(*(x.denominator for x in row))
         scale *= s
         m.append([x.numerator * (s // x.denominator) for x in row])
+    return Fraction(_int_det(m), scale)
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant by Bareiss elimination; rewrites the rows of ``m``.
+
+    Each step divides exactly by the previous pivot, so every entry stays an
+    integer minor of the input (Bareiss, Math. Comp. 1968).
+    """
     n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot_row = m[k]
@@ -192,7 +215,7 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
             for c in range(k + 1, n):
                 row[c] = (row[c] * p - f * pivot_row[c]) // prev
         prev = p
-    return Fraction(sign * m[-1][-1] if n else 1, scale)
+    return sign * m[-1][-1] if n else 1
 
 
 def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int:
@@ -204,22 +227,27 @@ def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int
     replaced by j+1 (left), or j+1 by j (right): zero when the old index is
     absent or the new one is already present.
     """
+    moved = _t_coefficient(spec, j, len(mat), side)
+    return 0 if moved is None else int(eval_minor(MinorSpec(*moved), mat) != 0)
+
+
+def _t_coefficient(
+    spec: MinorSpec, j: int, n: int, side: str
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Rows and columns of the t-coefficient of ``edagger_degree``, or None if it is 0."""
     if side not in ("left", "right"):
         raise CellSeedError(f"unknown side {side!r}")
-    n = len(mat)
     if not 1 <= j <= n - 1:
         raise CellSeedError(f"letter {j} out of range for size {n}")
     _check_bounds(spec, n)
     rows, cols = spec.rows, spec.cols
     if side == "left":
         if j not in rows or j + 1 in rows:
-            return 0
-        rows = tuple(j + 1 if r == j else r for r in rows)
-    else:
-        if j + 1 not in cols or j in cols:
-            return 0
-        cols = tuple(j if c == j + 1 else c for c in cols)
-    return int(eval_minor(MinorSpec(rows, cols), mat) != 0)
+            return None
+        return tuple(j + 1 if r == j else r for r in rows), cols
+    if j + 1 not in cols or j in cols:
+        return None
+    return rows, tuple(j if c == j + 1 else c for c in cols)
 
 
 def sampled_multidegree(
@@ -234,11 +262,17 @@ def sampled_multidegree(
     """Per-index degree maximized over seeded cell samples."""
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
+    letters = cell_word.letters
     out = {j: 0 for j in js}
     for s in range(samples):
-        mat = cell_sample(n, cell_word, rng_seed + s)
+        # size and letter errors come before any minor's
+        _sample_columns(n, letters, rng_seed + s)
         for j in js:
-            out[j] = max(out[j], edagger_degree(spec, j, mat, side))
+            if out[j]:
+                continue  # a degree is never above 1
+            moved = _t_coefficient(spec, j, n, side)
+            if moved is not None:
+                out[j] = int(_sample_minor(n, letters, rng_seed + s, *moved) != 0)
     return out
 
 
@@ -255,13 +289,16 @@ class MinorExpr:
     terms: tuple[Term, ...]
 
     def evaluate(self, mat: Mat) -> Fraction:
+        return self._evaluate(lambda spec: eval_minor(spec, mat))
+
+    def _evaluate(self, minor: Callable[[MinorSpec], Fraction]) -> Fraction:
         total = Fraction(0)
         for coef, factors in self.terms:
             prod = Fraction(coef)
             for spec, e in factors:
                 if prod == 0:
                     break
-                prod *= eval_minor(spec, mat) ** e
+                prod *= minor(spec) ** e
             total += prod
         return total
 
@@ -331,9 +368,16 @@ def verify_identity(
     """Compare two expressions on seeded cell samples with exact arithmetic."""
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
+    letters = cell_word.letters
     for s in range(samples):
-        mat = cell_sample(n, cell_word, rng_seed + s)
-        lv, rv = lhs.evaluate(mat), rhs.evaluate(mat)
+        seed = rng_seed + s
+        _sample_columns(n, letters, seed)  # size and letter errors first
+
+        def minor(spec: MinorSpec) -> Fraction:
+            _check_bounds(spec, n)
+            return _sample_minor(n, letters, seed, spec.rows, spec.cols)
+
+        lv, rv = lhs._evaluate(minor), rhs._evaluate(minor)
         if lv != rv:
-            return VerifyReport(False, samples, s, lv, rv, mat)
+            return VerifyReport(False, samples, s, lv, rv, cell_sample(n, cell_word, seed))
     return VerifyReport(True, samples)

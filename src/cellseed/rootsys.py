@@ -73,7 +73,11 @@ class LieType:
         m = _TYPE_RE.match(text.strip())
         if m is None:
             raise InvalidTypeError(f"cannot parse Lie type {text!r}")
-        return cls(m.group(1).upper(), int(m.group(2)))
+        try:
+            rank = int(m.group(2))
+        except ValueError:  # past the digit limit of int()
+            raise InvalidTypeError(f"rank of {text[:20]!r}... out of range") from None
+        return cls(m.group(1).upper(), rank)
 
     @property
     def vertices(self) -> range:

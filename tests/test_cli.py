@@ -59,6 +59,11 @@ class TestCartan:
         assert code == 2
         assert "error" in err
 
+    def test_rank_past_int_digit_limit(self, capsys):
+        code, out, err = run(capsys, "seed", "A" + "9" * 5000, "--J", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rank of 'A9999")
+
 
 class TestWords:
     def test_w0_parabolic(self, capsys):
@@ -272,6 +277,27 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "D{1,|2} = 0",
+            "D{1 2|2,3} = 0",
+            "9" * 5000 + " D{1|2} = 0",
+            "D{%s|2} = 0" % ("9" * 5000),
+            "D{1|2}^99999999 = 0",
+        ],
+        ids=["empty-index", "inner-space", "long-coefficient", "long-index", "huge-power"],
+    )
+    def test_bad_integers_and_huge_powers_rejected(self, tmp_path, capsys, line):
+        f = tmp_path / "bad.txt"
+        f.write_text(line + "\n")
+        code, out, err = run(
+            capsys, "verify", "--file", str(f), "--n", "6",
+            "--cell-word", "1,2,3,4,5,2,3,4,1,2,3",
+        )
+        assert (code, out) == (2, "")
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("size", ["0", "-2"])

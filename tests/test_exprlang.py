@@ -1,7 +1,7 @@
 import pytest
 
 from cellseed import MinorSpec, Word, parse_expr, parse_identity, verify_identity
-from cellseed.exprlang import ExprParseError
+from cellseed.exprlang import MAX_TERM_DEGREE, ExprParseError
 from cellseed.fixtures import A5_WORD
 from cellseed.oracle import cell_sample
 
@@ -76,3 +76,31 @@ def test_verify_with_parsed_identity():
 def test_repeated_index_rejected():
     with pytest.raises(ExprParseError, match="strictly increase"):
         parse_expr("D{1,1|1,2}")
+
+
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        ("D{1,|2}", "bad integer ''"),                     # _parse_minor, empty index
+        ("D{1 2|2,3}", "bad integer '1 2'"),               # _parse_minor, inner space
+        ("D{%s|2}" % ("9" * 5000), "bad integer '9999"),   # _parse_minor, past int() limit
+        ("9" * 5000 + " D{1|2}", "bad integer '9999"),     # _tokens, coefficient
+        ("D{1|2}^" + "9" * 5000, "bad integer '9999"),     # _tokens, exponent
+    ],
+    ids=["empty-index", "inner-space", "long-index", "long-coefficient", "long-exponent"],
+)
+def test_bad_integers_are_parse_errors(text, msg):
+    with pytest.raises(ExprParseError, match=msg):
+        parse_expr(text)
+
+
+def test_term_degree_cap():
+    at_cap = f"D{{1|2}}^{MAX_TERM_DEGREE - 1}*D{{1|3}} - 2 D{{2|3}}^{MAX_TERM_DEGREE}"
+    assert parse_expr(at_cap).terms[1][1][0][1] == MAX_TERM_DEGREE
+    for over in (
+        f"D{{1|2}}^{MAX_TERM_DEGREE + 1}",
+        f"D{{1|2}}^{MAX_TERM_DEGREE}*D{{1|3}}",
+        f"1 + D{{1|2}}*" + "D{1|3}" * MAX_TERM_DEGREE,
+    ):
+        with pytest.raises(ExprParseError, match=f"term degree {MAX_TERM_DEGREE + 1} exceeds"):
+            parse_expr(over)

@@ -18,8 +18,10 @@ from cellseed import (
     weyl_minor_spec,
 )
 from cellseed.oracle import (
+    VerifyReport,
     _det,
     _random_rational,
+    _sample_minor,
     cols_from_weight,
     identity_matrix,
     word_permutation,
@@ -363,6 +365,120 @@ class TestVerifyIdentity:
     def test_indices_start_at_one(self, rows, cols):
         with pytest.raises(CellSeedError, match="start at 1"):
             D(rows, cols)
+
+
+def _random_spec(rng, n):
+    k = rng.randint(1, n)
+    return D(sorted(rng.sample(range(1, n + 1), k)), sorted(rng.sample(range(1, n + 1), k)))
+
+
+def _random_expr(rng, n):
+    return expr(*(
+        (rng.randint(-3, 3), tuple((_random_spec(rng, n), rng.randint(1, 2))
+                                   for _ in range(rng.randint(0, 3))))
+        for _ in range(rng.randint(1, 3))
+    ))
+
+
+def _reference_multidegree(spec, js, n, word, samples, rng_seed, side):
+    """Reference: every degree of every sample, on the Fraction matrix."""
+    out = {j: 0 for j in js}
+    for s in range(samples):
+        mat = cell_sample(n, word, rng_seed + s)
+        for j in js:
+            out[j] = max(out[j], edagger_degree(spec, j, mat, side))
+    return out
+
+
+def _reference_verify(lhs, rhs, n, word, samples, rng_seed):
+    """Reference: both sides evaluated on the Fraction matrix of each sample."""
+    for s in range(samples):
+        mat = cell_sample(n, word, rng_seed + s)
+        lv, rv = lhs.evaluate(mat), rhs.evaluate(mat)
+        if lv != rv:
+            return VerifyReport(False, samples, s, lv, rv, mat)
+    return VerifyReport(True, samples)
+
+
+class TestColumnPath:
+    """Minors read from the integer sample columns against the Fraction matrix."""
+
+    @pytest.mark.parametrize("rank", range(1, 11))
+    def test_minor_equals_eval_minor(self, rank):
+        rng, n = random.Random(500 + rank), rank + 1
+        zeros = 0
+        for _ in range(15):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            rng_seed = rng.randrange(1 << 20)
+            mat = cell_sample(n, word, rng_seed)
+            for _ in range(8):
+                spec = _random_spec(rng, n)
+                got = _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols)
+                assert got == eval_minor(spec, mat), (word, rng_seed, spec)
+                zeros += got == 0
+        assert zeros > 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("rank", [1, 3, 5, 8, 10])
+    def test_multidegree_equals_reference(self, rank, side):
+        rng, n = random.Random(600 + rank), rank + 1
+        for _ in range(10):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            spec = _random_spec(rng, n)
+            js = tuple(rng.randint(1, rank) for _ in range(rng.randint(1, 4)))
+            args = (spec, js, n, word, rng.randint(1, 4), rng.randrange(1 << 20), side)
+            assert sampled_multidegree(*args) == _reference_multidegree(*args)
+
+    @pytest.mark.parametrize("rank", [1, 3, 5, 8, 10])
+    def test_verify_equals_reference(self, rank):
+        rng, n = random.Random(700 + rank), rank + 1
+        passes = fails = 0
+        for _ in range(10):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            lhs = _random_expr(rng, n)
+            # the same expression written twice passes; a shifted one fails
+            for rhs in (expr(*lhs.terms, (0, ())), expr(*lhs.terms, (1, ()))):
+                args = (lhs, rhs, n, word, 4, rng.randrange(1 << 20))
+                report = verify_identity(*args)
+                assert report == _reference_verify(*args)
+                passes += report.equal
+                fails += not report.equal
+        assert passes and fails
+
+    def test_failure_reports_lhs_rhs_and_sample(self):
+        lhs = expr((1, ((D([1], [2]), 2),)))
+        rhs = expr((1, ((D([1], [2]), 1), (D([1], [2]), 1))), (-1, ((D([2], [3]), 1),)))
+        report = verify_identity(lhs, rhs, 6, A5_WORD, samples=5, rng_seed=4)
+        mat = cell_sample(6, A5_WORD, 4)
+        assert report == VerifyReport(
+            False, 5, 0, lhs.evaluate(mat), rhs.evaluate(mat), mat
+        )
+        assert report.lhs_value - report.rhs_value == eval_minor(D([2], [3]), mat) != 0
+
+    def test_gls_identity_passes(self):
+        args = (GLS_LHS, GLS_RHS, 6, A5_WORD, 20, 5)
+        assert verify_identity(*args) == _reference_verify(*args) == VerifyReport(True, 20)
+
+    def test_factor_after_zero_never_evaluated(self):
+        # D{9|9} is out of bounds for size 6, but its coefficient is 0
+        zero = expr((0, ((D([9], [9]), 1),)))
+        assert zero.evaluate(cell_sample(6, A5_WORD, 0)) == 0
+        assert verify_identity(zero, expr((0, ())), 6, A5_WORD, samples=3).equal
+
+    def test_letter_error_before_minor_bounds(self):
+        far = expr((1, ((D([9], [9]), 1),)))
+        word = Word((1, 2, 6))
+        with pytest.raises(CellSeedError, match="letter 6 out of range for size 6"):
+            verify_identity(far, far, 6, word, samples=3)
+        with pytest.raises(CellSeedError, match="letter 6 out of range for size 6"):
+            sampled_multidegree(D([9], [9]), (1,), 6, word, samples=3)
+
+    def test_size_error_before_anything(self):
+        one = expr((1, ()))
+        with pytest.raises(CellSeedError, match="matrix size must be at least 1, got 0"):
+            verify_identity(one, one, 0, Word(()), samples=1)
+        with pytest.raises(CellSeedError, match="matrix size must be at least 1, got 0"):
+            sampled_multidegree(D([1], [1]), (1,), 0, Word(()), samples=1, side="up")
 
 
 class TestLiftedRelationIdentities:

@@ -74,6 +74,10 @@ class TestCartan:
         with pytest.raises(InvalidTypeError):
             LieType.parse(text)
 
+    def test_rank_past_int_digit_limit(self):
+        with pytest.raises(InvalidTypeError, match="out of range"):
+            LieType.parse("A" + "9" * 5000)
+
     @pytest.mark.parametrize(
         "text", ["A1", "A7", "B2", "C3", "D4", "D6", "E6", "E7", "E8", "F4", "G2"]
     )

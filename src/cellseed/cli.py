@@ -203,6 +203,8 @@ def _verify_lines(args) -> tuple[int, Word, list[str]]:
     if args.fixture is not None and args.file is not None:
         raise CellSeedError("give either a fixture name or an expression file")
     if args.fixture is not None:
+        if args.n is not None or args.cell_word is not None:
+            raise CellSeedError("--n and --cell-word go only with an expression file")
         if args.fixture in fixtures.VERIFY_FIXTURES:
             n, word, lines = fixtures.VERIFY_FIXTURES[args.fixture]
             return n, word, list(lines)
@@ -326,10 +328,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CellSeedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CellSeedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from importlib import resources
 from .lift import build_flag_seed, lift_relation, project
 from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec
 from .rootsys import CellSeedError, Word
-from .seedcore import Seed, exchange_binomial, seed_from_json
+from .seedcore import Seed, seed_from_json
 
 FIXTURE_SEEDS = ("a5", "b3")
 
@@ -54,14 +54,12 @@ def lifted_relation_identities(seed: Seed) -> tuple[tuple[str, MinorExpr, MinorE
     out = []
     for k in seed.mutable_positions():
         lhs = restricted_to_expr(project(lift_relation(fs, k)), rank)
-        bino = exchange_binomial(seed, k)
         terms = []
-        for expo in (bino.m_expo, bino.l_expo):
+        for support in seed.matrix.binomial_supports(k):
             factors = []
-            for pos, e in enumerate(expo, start=1):
-                if e:
-                    label = seed.label(pos)
-                    factors.append((weyl_minor_spec(label.prefix, label.fund, rank), e))
+            for pos, e in support:
+                label = seed.label(pos)
+                factors.append((weyl_minor_spec(label.prefix, label.fund, rank), e))
             terms.append((1, tuple(factors)))
         out.append((f"k={k}", lhs, MinorExpr(tuple(terms))))
     return tuple(out)

@@ -13,10 +13,10 @@ once when the seed is made, and every prefix of a reduced word is reduced.
 A ``FlagSeed`` is its cell seed and the degree and lift of each position.
 ``lift_relation`` reads the nonzero entries of one exchange column; deg M,
 deg L, their maximum and the unit powers are int tuples over J, and each term
-is built from the sort key, symbol, unit and den powers of the lifts there,
-which the flag seed derives once.  The unit frozen variables and extension
-rows follow from the degrees, so they are derived when read, and a flag
-mutation computes only the relation at k.
+is built from the symbol, unit and den powers of the flag seed's lifts
+there.  The unit frozen variables and extension rows follow from the
+degrees, so they are derived when read, and a flag mutation computes only
+the relation at k.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .rootsys import (
     check_letters,
     prefix_weights,
 )
-from .seedcore import Seed, mutate_seed, require_reduced
+from .seedcore import Seed, mutate_seed, require_reduced, seed_to_dict
 
 
 class LiftDegreeError(CellSeedError):
@@ -103,8 +103,7 @@ class MultiDegree:
 
 def degree_compare(a: MultiDegree, b: MultiDegree) -> str:
     """Partial order: 'equal', 'less', 'greater' or 'incomparable'."""
-    if a.js != b.js:
-        raise CellSeedError("degrees over different J")
+    a._check(b)
     le = all(x <= y for x, y in zip(a.coeffs, b.coeffs))
     ge = all(x >= y for x, y in zip(a.coeffs, b.coeffs))
     if le and ge:
@@ -182,11 +181,13 @@ class LiftMonomial:
     def product(
         cls, js: Sequence[int], powers: Iterable[tuple["LiftMonomial", int]]
     ) -> "LiftMonomial":
-        """Product of ``m**e`` over ``powers``, sorted once at the end."""
+        """Product of ``m**e`` over ``powers``: the reference product behind
+        ``*`` and ``**``.  ``lift_relation`` builds its terms without it, and
+        acceptance criteria 3 and 7 and ``TestRelationFromParts`` check those
+        terms against it."""
         js = tuple(js)
-        # keyed by MinorSymbol.sort_key(), which equality also reads; the
-        # first instance of a symbol is the one kept
-        num: dict[tuple, list] = {}
+        # a dict keeps the first instance of an equal key, so of a symbol
+        num: dict[MinorSymbol, int] = {}
         unit: dict[int, int] = {}
         den: dict[int, int] = {}
         degree = [0] * len(js)
@@ -197,19 +198,11 @@ class LiftMonomial:
                 raise CellSeedError("degrees over different J")
             if not e:
                 continue
-            for sym, x in mono.num:
-                num.setdefault((sym.kind, sym.fund, sym.weight.coeffs), [sym, 0])[1] += e * x
-            for acc, part in ((unit, mono.unit), (den, mono.den)):
+            for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
                 for key, x in part:
                     acc[key] = acc.get(key, 0) + e * x
             degree = [a + e * c for a, c in zip(degree, mono.degree.coeffs)]
-        # every power is positive, so the three maps need only sorting
-        return cls(
-            tuple(tuple(num[key]) for key in sorted(num)),
-            tuple(sorted(unit.items())),
-            tuple(sorted(den.items())),
-            MultiDegree(js, tuple(degree)),
-        )
+        return cls.build(num, unit, den, MultiDegree(js, tuple(degree)))
 
     def __mul__(self, other: "LiftMonomial") -> "LiftMonomial":
         return LiftMonomial.product(self.degree.js, ((self, 1), (other, 1)))
@@ -359,7 +352,7 @@ class FlagSeed:
 
     ``lifts`` holds the lift of each position, computed once by
     ``build_flag_seed``; a mutated position holds None.  The unit frozen
-    variables, lift parts and J-indexed extension rows are derived when read.
+    variables and J-indexed extension rows are derived when read.
     """
 
     base: Seed
@@ -372,14 +365,6 @@ class FlagSeed:
         """Delta_{w_j} for j in J, each of degree w_j."""
         rank, js = self.base.lie_type.rank, self.base.cfg.j_set
         return tuple(MinorSymbol(j, WeightVec.fundamental(rank, j), Word(())) for j in js)
-
-    @cached_property
-    def lift_parts(self) -> tuple[Optional[tuple], ...]:
-        """(sort key, symbol, unit, den) of each position's one-symbol lift, or None."""
-        return tuple(
-            None if m is None else (m.num[0][0].sort_key(), m.num[0][0], m.unit, m.den)
-            for m in self.lifts
-        )
 
     @cached_property
     def extension_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -418,10 +403,7 @@ def _relation_exponents(fs: FlagSeed, k: int) -> tuple:
     """Supports of M_k and L_k from the nonzero entries of column k, in
     position order, then deg M, deg L and the unit powers alpha, beta that
     lift both to top = max(deg M, deg L), all five as int tuples over J."""
-    m_support: list[tuple[int, int]] = []
-    l_support: list[tuple[int, int]] = []
-    for j, b in sorted(fs.base.matrix.column(k).items()):
-        (m_support if b > 0 else l_support).append((j, abs(b)))
+    m_support, l_support = fs.base.matrix.binomial_supports(k)
     width = len(fs.base.cfg.j_set)
     d_m, d_l = (_support_sum(fs.degrees, sup, width) for sup in (m_support, l_support))
     top = tuple(map(max, d_m, d_l))
@@ -434,24 +416,24 @@ def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     m_support, l_support, d_m, d_l, top, alpha, beta = _relation_exponents(fs, k)
     for pos, _ in m_support + l_support:
         _require_minor(fs.base, pos)
-    js, parts = fs.base.cfg.j_set, fs.lift_parts
+    js = fs.base.cfg.j_set
     degree = MultiDegree(js, top)
 
     def term(support: list[tuple[int, int]], units: tuple[int, ...]) -> LiftMonomial:
         num, unit, den = [], {j: e for j, e in zip(js, units) if e}, {}
         for pos, e in support:
-            key, sym, lift_unit, lift_den = parts[pos - 1]
-            num.append((key, sym, e))
-            for j, x in lift_unit:
+            lift = fs.lifts[pos - 1]
+            num.append((lift.num[0][0], e))
+            for j, x in lift.unit:
                 unit[j] = unit.get(j, 0) + e * x
-            for i, x in lift_den:
+            for i, x in lift.den:
                 den[i] = den.get(i, 0) + e * x
         # Positions p < q of a reduced word with one letter i differ in weight:
         # letters p+1..q form a reduced word ending in i, which moves w_i.  So
-        # the keys differ, nothing merges, and the sort never compares symbols.
-        num.sort()
+        # the sort keys differ and nothing merges.
+        num.sort(key=_symbol_order)
         return LiftMonomial(
-            tuple((sym, e) for _, sym, e in num),
+            tuple(num),
             tuple(sorted(unit.items())),
             tuple(sorted(den.items())),
             degree,
@@ -541,8 +523,6 @@ def project(x: Union[LiftMonomial, LiftedRelation]) -> Union[RestrictedMonomial,
 
 
 def flag_seed_to_dict(fs: FlagSeed) -> dict:
-    from .seedcore import seed_to_dict
-
     return {
         "seed": seed_to_dict(fs.base),
         "degrees": [d.as_dict() for d in fs.degrees],

@@ -288,7 +288,14 @@ class MinorExpr:
 
     terms: tuple[Term, ...]
 
+    def check_bounds(self, n: int) -> None:
+        """Every minor, in every term, must fit an n x n matrix."""
+        for _, factors in self.terms:
+            for spec, _ in factors:
+                _check_bounds(spec, n)
+
     def evaluate(self, mat: Mat) -> Fraction:
+        self.check_bounds(len(mat))
         return self._evaluate(lambda spec: eval_minor(spec, mat))
 
     def _evaluate(self, minor: Callable[[MinorSpec], Fraction]) -> Fraction:
@@ -369,12 +376,13 @@ def verify_identity(
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
     letters = cell_word.letters
+    _sample_columns(n, letters, rng_seed)  # size and letter errors first
+    lhs.check_bounds(n)
+    rhs.check_bounds(n)
     for s in range(samples):
         seed = rng_seed + s
-        _sample_columns(n, letters, seed)  # size and letter errors first
 
         def minor(spec: MinorSpec) -> Fraction:
-            _check_bounds(spec, n)
             return _sample_minor(n, letters, seed, spec.rows, spec.cols)
 
         lv, rv = lhs._evaluate(minor), rhs._evaluate(minor)

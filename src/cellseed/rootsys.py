@@ -176,10 +176,6 @@ class WeightVec:
     coeffs: tuple[int, ...]
 
     @classmethod
-    def zero(cls, rank: int) -> "WeightVec":
-        return cls((0,) * rank)
-
-    @classmethod
     def fundamental(cls, rank: int, i: int) -> "WeightVec":
         if not 1 <= i <= rank:
             raise CellSeedError(f"vertex {i} out of range 1..{rank}")
@@ -188,9 +184,6 @@ class WeightVec:
     def pairing(self, i: int) -> int:
         """<alpha_i^vee, self>."""
         return self.coeffs[i - 1]
-
-    def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "WeightVec") -> "WeightVec":
         return WeightVec(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
@@ -276,22 +269,13 @@ def check_letters(lie_type: LieType, word: Word) -> None:
             raise CellSeedError(f"letter {i} out of range for {lie_type}")
 
 
-@lru_cache(maxsize=None)
-def _simple_roots(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
-    """alpha_1, ..., alpha_n in the fundamental-weight basis."""
-    cm = cartan_matrix(lie_type)
-    return tuple(cm.column(i) for i in lie_type.vertices)
-
-
 def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
     """Apply the simple reflection s_i: lambda - <alpha_i^vee, lambda> alpha_i."""
-    roots = _simple_roots(lie_type)
-    if not 1 <= i <= len(roots):
+    if not 1 <= i <= lie_type.rank:
         raise CellSeedError(f"vertex {i} out of range for {lie_type}")
-    c = weight.coeffs[i - 1]
-    if c == 0:
-        return weight
-    return WeightVec(tuple(x - c * a for x, a in zip(weight.coeffs, roots[i - 1])))
+    mu = list(weight.coeffs)
+    _reflect_in_place(_root_supports(lie_type), mu, i)
+    return WeightVec(tuple(mu))
 
 
 def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
@@ -305,7 +289,10 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
 @lru_cache(maxsize=None)
 def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l)."""
-    return tuple(tuple((l, a) for l, a in enumerate(r) if a) for r in _simple_roots(lie_type))
+    cm = cartan_matrix(lie_type)
+    return tuple(
+        tuple((l, a) for l, a in enumerate(cm.column(i)) if a) for i in lie_type.vertices
+    )
 
 
 def _reflect_in_place(supports, mu: list[int], i: int) -> None:

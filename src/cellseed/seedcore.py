@@ -104,6 +104,14 @@ class ExchangeMatrix:
         c = self.col_labels.index(k)
         return {j: row[c] for j, row in zip(self.row_labels, self.entries) if row[c]}
 
+    def binomial_supports(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(position, |b_jk|) in position order, over b_jk > 0 (M_k) and b_jk < 0 (L_k)."""
+        m_support: list[tuple[int, int]] = []
+        l_support: list[tuple[int, int]] = []
+        for j, b in sorted(self.column(k).items()):
+            (m_support if b > 0 else l_support).append((j, abs(b)))
+        return m_support, l_support
+
     def principal_part(self) -> tuple[tuple[int, ...], ...]:
         rows = {j: row for j, row in zip(self.row_labels, self.entries)}
         return tuple(tuple(rows[j]) for j in self.col_labels)
@@ -250,9 +258,6 @@ class Seed:
     def mutable_positions(self) -> tuple[int, ...]:
         return self.matrix.col_labels
 
-    def frozen_positions(self) -> tuple[int, ...]:
-        return tuple(k for k, f in enumerate(self.frozen_mask, start=1) if f)
-
     def label(self, k: int) -> Label:
         return self.labels[k - 1]
 
@@ -266,14 +271,11 @@ def initial_seed(lie_type: LieType, cfg: ParabolicConfig, word: Word) -> Seed:
 
 def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
     """Exponents of M_k (entries b_{ik} > 0) and L_k (entries b_{ik} < 0)."""
-    m_expo = [0] * seed.size
-    l_expo = [0] * seed.size
-    for j, b in seed.matrix.column(k).items():
-        if b > 0:
-            m_expo[j - 1] = b
-        else:
-            l_expo[j - 1] = -b
-    return SymbolicBinomial(tuple(m_expo), tuple(l_expo))
+    expos = ([0] * seed.size, [0] * seed.size)
+    for expo, support in zip(expos, seed.matrix.binomial_supports(k)):
+        for j, e in support:
+            expo[j - 1] = e
+    return SymbolicBinomial(*map(tuple, expos))
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:

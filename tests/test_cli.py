@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,28 @@ class TestVerify:
         assert out == ""
         assert f"matrix size must be at least 1, got {size}" in err
 
+    @pytest.mark.parametrize(
+        "line", ["D{2|1}*D{9|9} = 0", "0 D{9|9} = 0"], ids=["zero-factor", "zero-coefficient"]
+    )
+    def test_out_of_bounds_after_zero_rejected(self, tmp_path, capsys, line):
+        # a zero product used to stop evaluation before the bounds check: a vacuous PASS
+        f = tmp_path / "far.txt"
+        f.write_text(line + "\n")
+        code, out, err = run(
+            capsys, "verify", "--file", str(f), "--n", "6",
+            "--cell-word", "1,2,3,4,5,2,3,4,1,2,3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: D{9|9} out of bounds for size 6\n"
+
+    @pytest.mark.parametrize(
+        "extra", [("--n", "4"), ("--cell-word", "1,2"), ("--n", "4", "--cell-word", "1,2")]
+    )
+    def test_fixture_rejects_file_options(self, capsys, extra):
+        code, out, err = run(capsys, "verify", "--fixture", "minor-identities", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --n and --cell-word go only with an expression file\n"
+
     def test_file_requires_context(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
         f.write_text("D{1|2} = D{1|2}\n")
@@ -548,3 +571,124 @@ def test_any_argv_exits_cleanly(monkeypatch):
         assert code in (0, 1, 2)
 
     check()
+
+
+# The file fuzz breaks one field of a shipped seed, or strings grammar tokens
+# into identity lines.  Types stay at rank 9 or below and a term's degree is
+# capped by the parser, so every case is cheap to run.
+_SEED_DATA = ROOT / "src" / "cellseed" / "data"
+_WRONG = [True, False, None, 0, -1, 7, 2.5, "x", "", "A9", "E8", [], {}, [1, "2"], {"i": 1}]
+_TOKENS = [
+    "D{", "}", "|", ",", "0", "1", "2", "3", "6", "9", "12", "+", "-", "*", "^", "=", "==",
+    " ", "#", "D{1|2}", "D{2|1}", "D{1,2|3,4}", "D{1,3|5,6}", "D{9|9}", "x", "\n",
+]
+
+
+def _paths(obj, head=()):
+    """Every key path into a JSON value, the empty path included."""
+    yield head
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, head + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _broken_seed_text(rng):
+    """A shipped seed with one field of a wrong type, a boolean, missing,
+    permuted (a list) or nested in up to 3 000 lists."""
+    obj = json.loads((_SEED_DATA / rng.choice(["a5.json", "b3.json"])).read_text())
+    kind = rng.choice(["type", "bool", "missing", "permute", "nest"])
+    *head, last = rng.choice([p for p in _paths(obj) if p])
+    parent = _at(obj, head)
+    if kind == "type":
+        parent[last] = rng.choice(_WRONG)
+    elif kind == "bool":
+        parent[last] = rng.choice([True, False])
+    elif kind == "missing":
+        del parent[last]
+    elif kind == "permute":
+        lists = [p for p in _paths(obj) if isinstance(_at(obj, p), list)]
+        rng.shuffle(_at(obj, rng.choice(lists)))
+    else:
+        depth = rng.choice([1, 2, 40, 900, 3000])
+        marker = "@@nest@@"
+        value, parent[last] = parent[last], marker
+        return json.dumps(obj).replace(
+            json.dumps(marker), "[" * depth + json.dumps(value) + "]" * depth
+        )
+    return json.dumps(obj)
+
+
+def _seed_argv(rng, path):
+    command = rng.choice([
+        ["seed"], ["flagseed"], ["lift", "--k", str(rng.randint(1, 11))],
+        ["liftrel", "--k", str(rng.randint(1, 11))], ["mutate", "--seq", "1,2,1"],
+    ])
+    return command + ["--seed-file", str(path)] + rng.choice([[], ["--json"]])
+
+
+def _identity_text(rng, n):
+    """One to three identity lines on minors of an n x n matrix; a third are
+    token soup, and the rest may carry one stray token."""
+    if rng.random() < 1 / 3:
+        return "".join(rng.choice(_TOKENS) for _ in range(rng.randint(1, 30)))
+
+    def minor():
+        size = rng.randint(1, min(3, n))
+        rows, cols = (sorted(rng.sample(range(1, n + 1), size)) for _ in "rc")
+        return "D{%s|%s}" % (",".join(map(str, rows)), ",".join(map(str, cols)))
+
+    def term():
+        factors = [minor() + rng.choice(["", "", "^2", "^0"]) for _ in range(rng.randint(0, 3))]
+        coef = rng.choice(["", "", "0 ", "2 "]) if factors else str(rng.randint(0, 3))
+        return coef + "*".join(factors)
+
+    def side():
+        return "".join(rng.choice([" + ", " - "]) + term() for _ in range(rng.randint(1, 3)))[3:]
+
+    lines = [f"{side()} = {side()}" for _ in range(rng.randint(1, 3))]
+    text = "\n".join(lines + rng.choice([[], ["# comment"]]))
+    if rng.random() < 0.5:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice(_TOKENS) + text[cut:]
+    return text
+
+
+def _verify_argv(rng, path, n):
+    top = n if rng.random() < 0.2 else max(1, n - 1)  # letter n is out of range
+    word = ",".join(str(rng.randint(1, top)) for _ in range(rng.randint(0, 8)))
+    return ["verify", "--file", str(path), "--n", str(n), "--cell-word", word, "--samples", "3"]
+
+
+def test_any_file_exits_cleanly(tmp_path, capsys):
+    """Broken seed files and random identity files exit 0, 1 or 2; exit 1
+    only beside a FAIL line, and stderr holds only ``error:`` lines."""
+    rng = random.Random(2024)
+    path = tmp_path / "case"
+    bad = []
+    for case in range(400):
+        if case % 2:
+            n = rng.randint(1, 9)
+            path.write_text(_identity_text(rng, n))
+            argv = _verify_argv(rng, path, n)
+        else:
+            path.write_text(_broken_seed_text(rng))
+            argv = _seed_argv(rng, path)
+        try:
+            code = main(argv)
+        except Exception as exc:  # reported with its input below
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        clean = (
+            code in (0, 1, 2)
+            and (code != 1 or out.splitlines()[-1:] == ["FAIL"])
+            and all(line.startswith("error:") for line in err.splitlines())
+        )
+        if not clean:
+            bad.append((argv[0], path.read_text()[:200], code, err[:200]))
+    assert bad == []

@@ -508,7 +508,7 @@ def _outcome(make, fs, k):
 
 
 class TestRelationFromParts:
-    """``lift_relation`` builds its terms from the flag seed's lift parts."""
+    """``lift_relation`` builds its terms from the flag seed's lifts."""
 
     @pytest.mark.parametrize("family,rank,js", LADDER, ids=[f"{f}{n}" for f, n, _ in LADDER])
     def test_equals_product_construction(self, family, rank, js):
@@ -559,7 +559,8 @@ class TestRelationFromParts:
         """Positions of a reduced word have distinct (fund, weight), so a
         relation's numerator needs no merging."""
         for family, rank, js in LADDER:
-            keys = [part[0] for part in build_flag_seed(_cell_seed(family, rank, js)).lift_parts]
+            lifts = build_flag_seed(_cell_seed(family, rank, js)).lifts
+            keys = [lift.num[0][0].sort_key() for lift in lifts]
             assert len(set(keys)) == len(keys)
         for lt, word in reduced_words():
             weights = prefix_weights(lt, word)
@@ -568,7 +569,6 @@ class TestRelationFromParts:
 
     def test_three_degrees_and_no_product(self, monkeypatch):
         fs = build_flag_seed(_cell_seed("A", 14, (1, 7)))
-        fs.lift_parts
         degrees = 0
         post_init = MultiDegree.__post_init__
 

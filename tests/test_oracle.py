@@ -459,11 +459,30 @@ class TestColumnPath:
         args = (GLS_LHS, GLS_RHS, 6, A5_WORD, 20, 5)
         assert verify_identity(*args) == _reference_verify(*args) == VerifyReport(True, 20)
 
-    def test_factor_after_zero_never_evaluated(self):
-        # D{9|9} is out of bounds for size 6, but its coefficient is 0
-        zero = expr((0, ((D([9], [9]), 1),)))
-        assert zero.evaluate(cell_sample(6, A5_WORD, 0)) == 0
-        assert verify_identity(zero, expr((0, ())), 6, A5_WORD, samples=3).equal
+    def test_out_of_bounds_minor_after_zero_rejected(self):
+        # D{9|9} is out of bounds for size 6; a zero coefficient or a zero
+        # factor (D{2|1} of a unitriangular matrix) before it does not hide it
+        far = ((D([9], [9]), 1),)
+        for lhs in (expr((0, far)), expr((1, ((D([2], [1]), 1),) + far))):
+            with pytest.raises(CellSeedError, match=r"D\{9\|9\} out of bounds for size 6"):
+                lhs.evaluate(cell_sample(6, A5_WORD, 0))
+            for args in ((lhs, expr((0, ()))), (expr((0, ())), lhs)):
+                with pytest.raises(CellSeedError, match="out of bounds for size 6"):
+                    verify_identity(*args, 6, A5_WORD, samples=3)
+
+    def test_factor_after_zero_never_evaluated(self, monkeypatch):
+        from cellseed import oracle
+
+        calls = []
+
+        def counting(n, letters, rng_seed, rows, cols):
+            calls.append((rows, cols))
+            return _sample_minor(n, letters, rng_seed, rows, cols)
+
+        monkeypatch.setattr(oracle, "_sample_minor", counting)
+        lhs = expr((0, ((D([1], [2]), 1),)), (1, ((D([2], [1]), 1), (D([1], [2]), 1))))
+        assert verify_identity(lhs, expr((0, ())), 6, A5_WORD, samples=3).equal
+        assert calls == [((2,), (1,))] * 3
 
     def test_letter_error_before_minor_bounds(self):
         far = expr((1, ((D([9], [9]), 1),)))

@@ -8,13 +8,17 @@ such a minor is affine in t and its degree is 1 exactly when one other minor
 is nonzero.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
-A sample is built as integer columns with one denominator each and kept in a
+Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
+sample is built as integer columns with one denominator each and kept in a
 bounded memo.  ``verify_identity`` and ``sampled_multidegree`` take every
-minor straight from those columns: the determinant of the selected integer
-numerators, by fraction-free (Bareiss) elimination, over one product of
-column denominators.  Minor values are memoized too, since the identities of
-a cell share their samples.  ``eval_minor`` on a ``Fraction`` matrix clears
-its row denominators and runs the same integer kernel.
+minor straight from those columns as an unreduced pair: the determinant of
+the selected integer numerators, by fraction-free (Bareiss) elimination,
+over one product of column denominators.  Minor pairs are memoized too,
+since the identities of a cell share their samples.  An expression is
+evaluated as an integer numerator over a positive denominator, and two sides
+are equal when ln*rd == rn*ld; only a failing sample builds ``Fraction``
+values for its report.  ``eval_minor`` on a ``Fraction`` matrix clears its
+row denominators and runs the same integer kernel.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ def identity_matrix(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _random_rational(rng: random.Random) -> Fraction:
+def _random_rational(rng: random.Random) -> tuple[int, int]:
+    """Seeded nonzero rational as a lowest-terms (numerator, denominator) pair."""
     # small nonzero numerators/denominators keep determinant cost bounded
     num = 0
     while num == 0:
         num = rng.randint(-100, 100)
-    return Fraction(num, rng.randint(1, 100))
+    den = rng.randint(1, 100)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 # Samples kept by ``_sample_columns``; a verify or degree pass revisits the
@@ -69,11 +76,11 @@ def _sample_columns(
     for i in letters:
         if not 1 <= i <= n - 1:
             raise CellSeedError(f"letter {i} out of range for size {n}")
-        t = _random_rational(rng)
+        tn, td = _random_rational(rng)
         # right multiplication by x_i(t): column i+1 += t * column i, which
         # is zero below row i; a/da + t*b/db has denominator da*q
         (da, a), (db, b) = cols[i], cols[i - 1]
-        p, q = t.numerator * da, t.denominator * db
+        p, q = tn * da, td * db
         num = [x * q for x in a]
         for r, y in enumerate(b):
             num[r] += p * y
@@ -175,12 +182,13 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
 @lru_cache(maxsize=_MINOR_MEMO)
 def _sample_minor(
     n: int, letters: tuple[int, ...], rng_seed: int, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> Fraction:
-    """Minor of ``cell_sample`` from its integer columns; column c is 0 below row c."""
+) -> tuple[int, int]:
+    """Minor of ``cell_sample`` from its integer columns, as an unreduced
+    (numerator, positive denominator) pair; column c is 0 below row c."""
     columns = _sample_columns(n, letters, rng_seed)
     sample = [columns[c - 1] for c in cols]
     m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
-    return Fraction(_int_det(m), math.prod(d for d, _ in sample))
+    return _int_det(m), math.prod(d for d, _ in sample)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -272,7 +280,7 @@ def sampled_multidegree(
                 continue  # a degree is never above 1
             moved = _t_coefficient(spec, j, n, side)
             if moved is not None:
-                out[j] = int(_sample_minor(n, letters, rng_seed + s, *moved) != 0)
+                out[j] = int(_sample_minor(n, letters, rng_seed + s, *moved)[0] != 0)
     return out
 
 
@@ -289,25 +297,33 @@ class MinorExpr:
     terms: tuple[Term, ...]
 
     def check_bounds(self, n: int) -> None:
-        """Every minor, in every term, must fit an n x n matrix."""
+        """Every minor, in every term, must fit an n x n matrix, to a power >= 0."""
         for _, factors in self.terms:
-            for spec, _ in factors:
+            for spec, e in factors:
                 _check_bounds(spec, n)
+                if e < 0:
+                    raise CellSeedError(f"power {e} of {spec} is negative")
 
     def evaluate(self, mat: Mat) -> Fraction:
         self.check_bounds(len(mat))
-        return self._evaluate(lambda spec: eval_minor(spec, mat))
+        return Fraction(*self._evaluate(lambda spec: eval_minor(spec, mat).as_integer_ratio()))
 
-    def _evaluate(self, minor: Callable[[MinorSpec], Fraction]) -> Fraction:
-        total = Fraction(0)
+    def _evaluate(self, minor: Callable[[MinorSpec], tuple[int, int]]) -> tuple[int, int]:
+        """Value as an unreduced (numerator, positive denominator) pair, from
+        minors given as such pairs."""
+        total, den = 0, 1
         for coef, factors in self.terms:
-            prod = Fraction(coef)
+            p, q = coef, 1
             for spec, e in factors:
-                if prod == 0:
+                if p == 0:
                     break
-                prod *= minor(spec) ** e
-            total += prod
-        return total
+                a, b = minor(spec)
+                if e != 1:
+                    a, b = a**e, b**e
+                p, q = p * a, q * b
+            if p:
+                total, den = total * q + p * den, den * q
+        return total, den
 
     def __str__(self) -> str:
         if not self.terms:
@@ -382,10 +398,13 @@ def verify_identity(
     for s in range(samples):
         seed = rng_seed + s
 
-        def minor(spec: MinorSpec) -> Fraction:
+        def minor(spec: MinorSpec) -> tuple[int, int]:
             return _sample_minor(n, letters, seed, spec.rows, spec.cols)
 
-        lv, rv = lhs._evaluate(minor), rhs._evaluate(minor)
-        if lv != rv:
-            return VerifyReport(False, samples, s, lv, rv, cell_sample(n, cell_word, seed))
+        (ln, ld), (rn, rd) = lhs._evaluate(minor), rhs._evaluate(minor)
+        if ln * rd != rn * ld:
+            return VerifyReport(
+                False, samples, s, Fraction(ln, ld), Fraction(rn, rd),
+                cell_sample(n, cell_word, seed),
+            )
     return VerifyReport(True, samples)

@@ -51,6 +51,11 @@ _RANK_BOUNDS = {
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
+# Entries a dense integer table may have: rank x rank for a Cartan matrix,
+# positions x mutable positions for an initial exchange matrix.  At 8 bytes a
+# reference that is 128 MiB, checked before the table is allocated.
+MAX_TABLE_ENTRIES = 1 << 24
+
 
 @dataclass(frozen=True, order=True)
 class LieType:
@@ -66,6 +71,11 @@ class LieType:
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidTypeError(
                 f"rank {self.rank} out of range for family {self.family}"
+            )
+        if self.rank * self.rank > MAX_TABLE_ENTRIES:
+            raise InvalidTypeError(
+                f"rank {self.rank} needs a {self.rank}x{self.rank} Cartan matrix, "
+                f"past the budget of {MAX_TABLE_ENTRIES} table entries"
             )
 
     @classmethod
@@ -269,10 +279,19 @@ def check_letters(lie_type: LieType, word: Word) -> None:
             raise CellSeedError(f"letter {i} out of range for {lie_type}")
 
 
+def _check_weight(lie_type: LieType, weight: WeightVec) -> None:
+    if len(weight.coeffs) != lie_type.rank:
+        raise CellSeedError(
+            f"weight {weight} has {len(weight.coeffs)} coordinates, {lie_type} has "
+            f"{lie_type.rank} vertices"
+        )
+
+
 def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
     """Apply the simple reflection s_i: lambda - <alpha_i^vee, lambda> alpha_i."""
     if not 1 <= i <= lie_type.rank:
         raise CellSeedError(f"vertex {i} out of range for {lie_type}")
+    _check_weight(lie_type, weight)
     mu = list(weight.coeffs)
     _reflect_in_place(_root_supports(lie_type), mu, i)
     return WeightVec(tuple(mu))
@@ -281,6 +300,7 @@ def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
 def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
     """Apply a word to a weight, rightmost letter first."""
     check_letters(lie_type, word)
+    _check_weight(lie_type, weight)
     for i in reversed(word.letters):
         weight = reflect(lie_type, i, weight)
     return weight

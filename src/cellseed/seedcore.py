@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .rootsys import (
+    MAX_TABLE_ENTRIES,
     CellSeedError,
     LieType,
     ParabolicConfig,
@@ -172,6 +173,11 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
         at.setdefault(i, []).append(j)
 
     mutable = data.mutable_positions()
+    if len(letters) * len(mutable) > MAX_TABLE_ENTRIES:
+        raise CellSeedError(
+            f"a {len(letters)}x{len(mutable)} exchange matrix is past the budget "
+            f"of {MAX_TABLE_ENTRIES} table entries"
+        )
     row_labels = mutable + data.frozen_positions()
     rows = {j: [0] * len(mutable) for j in row_labels}
     for c, k in enumerate(mutable):
@@ -295,8 +301,9 @@ def _label_to_json(label: Label) -> dict:
 
 def _label_from_json(obj: dict) -> Label:
     if "path" in obj:
-        return MutationLabel(tuple(obj["path"]))
-    return MinorLabel(obj["i"], Word(tuple(obj["word"])))
+        return MutationLabel(_only(obj["path"], "label path"))
+    (i,) = _only([obj["i"]], "label i")
+    return MinorLabel(i, Word(_only(obj["word"], "label word")))
 
 
 def seed_to_dict(seed: Seed) -> dict:

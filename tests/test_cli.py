@@ -3,12 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cellseed
 from cellseed.cli import main
+from cellseed.rootsys import MAX_TABLE_ENTRIES
 
 
 def run(capsys, *argv):
@@ -64,6 +66,37 @@ class TestCartan:
         code, out, err = run(capsys, "seed", "A" + "9" * 5000, "--J", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error: rank of 'A9999")
+
+
+def _run_small(capsys, *argv):
+    """``run``, asserting that it allocates no table near MAX_TABLE_ENTRIES."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20  # a table at the budget takes 128 MiB
+    return result
+
+
+class TestTableBudget:
+    """Dense integer tables are refused above MAX_TABLE_ENTRIES, before allocation."""
+
+    @pytest.mark.parametrize("text", ["A 99999999999", "A4097", "B4097", "D4097"])
+    def test_cartan_rank_above_budget(self, capsys, text):
+        # 4096 x 4096 is exactly the budget
+        assert MAX_TABLE_ENTRIES == 4096 * 4096
+        code, out, err = _run_small(capsys, "cartan", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rank ") and "past the budget of 16777216" in err
+
+    def test_seed_just_above_budget(self, capsys):
+        # w0 of A91 has 4186 letters, 4095 of them mutable: 17 141 670 entries;
+        # A90 gives 4095 x 4005 = 16 400 475, within the budget
+        code, out, err = _run_small(capsys, "seed", "A91", "--J", ",".join(map(str, range(1, 92))))
+        assert (code, out) == (2, "")
+        assert err == "error: a 4186x4095 exchange matrix is past the budget of 16777216 table entries\n"
 
 
 class TestWords:
@@ -447,10 +480,21 @@ class TestSeedFile:
              "label (2,2,2) at position 1 does not match the word 3,2,1,3,2,3 and history [1]"),
             (_set(["labels", 0], {"path": []}),
              "label () at position 1 does not match the word 3,2,1,3,2,3 and history []"),
+            # equal to the derived labels as numbers (3.0 == 3, True == 1), so
+            # only the type check can refuse them
+            (_set(["labels", 0], {"i": 3.0, "word": [3.0]}), "label i must hold only integers"),
+            (_set(["labels", 0], {"i": 3, "word": [3.0]}), "label word must hold only integers"),
+            (_set(["labels", 2], {"i": True, "word": [3, 2, True]}),
+             "label i must hold only integers"),
+            (_set(["labels", 2], {"i": 1, "word": [3, 2, True]}),
+             "label word must hold only integers"),
+            (_after_mutation(1, _set(["labels", 0], {"path": [True]})),
+             "label path must hold only integers"),
         ],
         ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key",
              "missing-type", "bool-letter", "bool-J", "string-history", "string-frozen", "int-frozen",
-             "frozen-history", "history-past-end", "path-vs-history", "empty-path"],
+             "frozen-history", "history-past-end", "path-vs-history", "empty-path", "float-label-i",
+             "float-label-word", "bool-label-i", "bool-label-word", "bool-label-path"],
     )
     def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
         obj = _b3_seed_dict()
@@ -574,10 +618,12 @@ def test_any_argv_exits_cleanly(monkeypatch):
 
 
 # The file fuzz breaks one field of a shipped seed, or strings grammar tokens
-# into identity lines.  Types stay at rank 9 or below and a term's degree is
-# capped by the parser, so every case is cheap to run.
+# into identity lines.  Types stay at rank 9 or below, apart from one refused
+# by the table budget, and a term's degree is capped by the parser, so every
+# case is cheap to run.
 _SEED_DATA = ROOT / "src" / "cellseed" / "data"
-_WRONG = [True, False, None, 0, -1, 7, 2.5, "x", "", "A9", "E8", [], {}, [1, "2"], {"i": 1}]
+_WRONG = [True, False, None, 0, -1, 7, 2.5, "x", "", "A9", "E8", "A 99999999999", [], {}, [1, "2"],
+          {"i": 1}]
 _TOKENS = [
     "D{", "}", "|", ",", "0", "1", "2", "3", "6", "9", "12", "+", "-", "*", "^", "=", "==",
     " ", "#", "D{1|2}", "D{2|1}", "D{1,2|3,4}", "D{1,3|5,6}", "D{9|9}", "x", "\n",

@@ -20,7 +20,6 @@ from cellseed import (
 from cellseed.oracle import (
     VerifyReport,
     _det,
-    _random_rational,
     _sample_minor,
     cols_from_weight,
     identity_matrix,
@@ -195,12 +194,16 @@ class TestFractionFreeDet:
 
 
 def _explicit_sample(n, word, rng_seed):
-    """Reference: multiply out the I + t*E_{i,i+1} with the same t draws."""
+    """Reference: multiply out the I + t*E_{i,i+1}, each t a nonzero
+    numerator in [-100, 100] (redrawn while 0) over a denominator in [1, 100]."""
     rng = random.Random(rng_seed)
     mat = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     for i in word.letters:
         x = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-        x[i - 1][i] = _random_rational(rng)
+        num = 0
+        while num == 0:
+            num = rng.randint(-100, 100)
+        x[i - 1][i] = Fraction(num, rng.randint(1, 100))
         mat = [[sum(mat[r][k] * x[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
     return tuple(tuple(row) for row in mat)
 
@@ -413,7 +416,9 @@ class TestColumnPath:
             mat = cell_sample(n, word, rng_seed)
             for _ in range(8):
                 spec = _random_spec(rng, n)
-                got = _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols)
+                num, den = _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols)
+                assert den > 0
+                got = Fraction(num, den)
                 assert got == eval_minor(spec, mat), (word, rng_seed, spec)
                 zeros += got == 0
         assert zeros > 0
@@ -454,6 +459,77 @@ class TestColumnPath:
             False, 5, 0, lhs.evaluate(mat), rhs.evaluate(mat), mat
         )
         assert report.lhs_value - report.rhs_value == eval_minor(D([2], [3]), mat) != 0
+        assert type(report.lhs_value) is type(report.rhs_value) is Fraction
+
+    @pytest.mark.parametrize("rank", [1, 3, 5, 8, 10])
+    def test_failure_values_are_the_counterexample_values(self, rank):
+        rng, n = random.Random(800 + rank), rank + 1
+        fails = 0
+        for _ in range(10):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            lhs, rhs = _random_expr(rng, n), _random_expr(rng, n)
+            report = verify_identity(lhs, rhs, n, word, 4, rng.randrange(1 << 20))
+            if not report.equal:
+                fails += 1
+                assert report.lhs_value == lhs.evaluate(report.counterexample)
+                assert report.rhs_value == rhs.evaluate(report.counterexample)
+        assert fails
+
+    @pytest.mark.parametrize("rank", [1, 2, 4, 6, 9])
+    def test_integer_evaluate_equals_fraction_sum(self, rank):
+        # zero coefficients, zero factors (D{2|1} of a unitriangular matrix),
+        # powers above 1, negative coefficients and the empty product
+        rng, n = random.Random(900 + rank), rank + 1
+        zero_factor = D([2], [1]) if n > 1 else D([1], [1])
+        for _ in range(30):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
+            mat = cell_sample(n, word, rng.randrange(1 << 20))
+            terms = []
+            for _ in range(rng.randint(0, 4)):
+                factors = [(_random_spec(rng, n), rng.randint(0, 3))
+                           for _ in range(rng.randint(0, 3))]
+                if rng.random() < 0.2:
+                    factors.insert(rng.randint(0, len(factors)), (zero_factor, 1))
+                terms.append((rng.choice((-7, -2, -1, 0, 1, 3)), tuple(factors)))
+            e = expr(*terms)
+            want = Fraction(0)
+            for coef, factors in e.terms:
+                prod = Fraction(coef)
+                for spec, k in factors:
+                    prod *= eval_minor(spec, mat) ** k
+                want += prod
+
+            def minor(spec):
+                v = eval_minor(spec, mat)
+                return v.numerator, v.denominator
+
+            num, den = e._evaluate(minor)
+            assert den > 0 and Fraction(num, den) == want == e.evaluate(mat)
+
+    def test_negative_power_rejected(self):
+        neg = expr((1, ((D([1], [2]), -1),)))
+        with pytest.raises(CellSeedError, match=r"power -1 of D\{1\|2\} is negative"):
+            neg.evaluate(cell_sample(6, A5_WORD, 0))
+        with pytest.raises(CellSeedError, match="is negative"):
+            verify_identity(neg, neg, 6, A5_WORD, samples=2)
+
+    def test_hot_path_builds_no_fraction(self, monkeypatch):
+        from cellseed import oracle
+
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "Fraction", Counting)
+        # fresh seeds, so the samples and minors are computed, not recalled
+        report = verify_identity(GLS_LHS, GLS_RHS, 6, A5_WORD, samples=20, rng_seed=31_337)
+        assert report == VerifyReport(True, 20)
+        spec = weyl_minor_spec(A5_WORD.prefix(7), A5_WORD.letters[6], 5)
+        got = sampled_multidegree(spec, (1, 2, 3), 6, A5_WORD, samples=5, rng_seed=41_337)
+        assert got and built == []
 
     def test_gls_identity_passes(self):
         args = (GLS_LHS, GLS_RHS, 6, A5_WORD, 20, 5)

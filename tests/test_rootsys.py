@@ -125,6 +125,18 @@ class TestReflect:
                 assert reflect(a5, i, wj) == expect
 
 
+    @pytest.mark.parametrize("coeffs", [(1,), (), (0, 1, 0, 0, 0, 0)])
+    def test_weight_needs_one_coordinate_per_vertex(self, a5, coeffs):
+        # (1,) used to raise a bare IndexError at i=1 and be cut short below
+        for check in (
+            lambda: reflect(a5, 1, WeightVec(coeffs)),
+            lambda: apply_word(a5, Word(()), WeightVec(coeffs)),
+            lambda: apply_word(a5, Word.parse("1,2"), WeightVec(coeffs)),
+        ):
+            with pytest.raises(CellSeedError, match="coordinates, A5 has 5 vertices"):
+                check()
+
+
 class TestApplyWord:
     def test_prefix_drop(self, a5):
         w2 = WeightVec.fundamental(5, 2)

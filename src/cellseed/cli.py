@@ -70,6 +70,8 @@ def _resolve_seed(args) -> Seed:
         raise CellSeedError(
             "give exactly one seed source: TYPE with --J/--word, --seed-file, or --fixture"
         )
+    if args.type is None and (args.J is not None or args.word is not None):
+        raise CellSeedError("--J and --word go only with an explicit type")
     if args.seed_file is not None:
         return seed_from_json(_read_text(args.seed_file))
     if getattr(args, "fixture", None) is not None:

@@ -9,16 +9,17 @@ is nonzero.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
 Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
-sample is built as integer columns with one denominator each and kept in a
-bounded memo.  ``verify_identity`` and ``sampled_multidegree`` take every
-minor straight from those columns as an unreduced pair: the determinant of
-the selected integer numerators, by fraction-free (Bareiss) elimination,
-over one product of column denominators.  Minor pairs are memoized too,
-since the identities of a cell share their samples.  An expression is
-evaluated as an integer numerator over a positive denominator, and two sides
-are equal when ln*rd == rn*ld; only a failing sample builds ``Fraction``
-values for its report.  ``eval_minor`` on a ``Fraction`` matrix clears its
-row denominators and runs the same integer kernel.
+sample is built as integer columns with one denominator each.
+``verify_identity`` and ``sampled_multidegree`` take every minor straight
+from those columns as an unreduced pair: the determinant of the selected
+integer numerators, by fraction-free (Bareiss) elimination, over one product
+of column denominators.  One bounded memo keeps recent samples, each with the
+minor pairs already taken on it, since the identities of a cell share their
+samples.  An expression is evaluated as an integer numerator over a positive
+denominator, and two sides are equal when ln*rd == rn*ld; only a failing
+sample builds ``Fraction`` values for its report.  ``eval_minor`` on a
+``Fraction`` matrix clears its row denominators and runs the same integer
+kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .rootsys import CellSeedError, WeightVec, Word
 from .lift import MinorSymbol, RestrictedMonomial, RestrictedSum
 
 Mat = tuple[tuple[Fraction, ...], ...]
+#: integer columns of a sample, each as (denominator, numerators of rows 1..c)
+Columns = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def identity_matrix(n: int) -> Mat:
@@ -52,30 +55,31 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
     return num // g, den // g
 
 
-# Samples kept by ``_sample_columns``; a verify or degree pass revisits the
-# same few (size, word, seed) triples many times.
-_SAMPLE_MEMO = 128
-# Minor values kept by ``_sample_minor``; the identities of a cell share one
-# sampling base, so most of their (sample, minor) pairs repeat.  On the
-# oracle-exact benchmark 512 entries (about 160 KiB) hit as often as 1024.
-_MINOR_MEMO = 512
+# Samples kept by ``_sample``, each with the minor pairs already taken on it.
+# A shuffled oracle-exact pass reads six cells' 20-sample verify bases (120
+# samples) between degree checks that draw fresh ones.  At 160 samples, about
+# 0.8 MiB with their minors by tracemalloc, a pass builds each verify sample
+# 1.9 times on average; 256 build each once, at a higher peak RSS.
+_SAMPLE_MEMO = 160
 
 
-@lru_cache(maxsize=_SAMPLE_MEMO)
-def _sample_columns(
-    n: int, letters: tuple[int, ...], rng_seed: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Columns of ``cell_sample`` as (denominator, numerators of rows 1..c).
-
-    The product is upper unitriangular, so column c is zero below row c.
-    """
+def _check_cell(n: int, letters: tuple[int, ...]) -> None:
+    """The size and letter errors of a cell sample, before anything is built."""
     if n < 1:
         raise CellSeedError(f"matrix size must be at least 1, got {n}")
-    rng = random.Random(rng_seed)
-    cols = [(1, (0,) * c + (1,)) for c in range(n)]
     for i in letters:
         if not 1 <= i <= n - 1:
             raise CellSeedError(f"letter {i} out of range for size {n}")
+
+
+def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: int) -> Columns:
+    """Integer columns of ``cell_sample``, for arguments ``_check_cell`` accepts.
+
+    The product is upper unitriangular, so column c is zero below row c.
+    """
+    rng = random.Random(rng_seed)
+    cols = [(1, (0,) * c + (1,)) for c in range(n)]
+    for i in letters:
         tn, td = _random_rational(rng)
         # right multiplication by x_i(t): column i+1 += t * column i, which
         # is zero below row i; a/da + t*b/db has denominator da*q
@@ -90,12 +94,19 @@ def _sample_columns(
     return tuple(cols)
 
 
+@lru_cache(maxsize=_SAMPLE_MEMO)
+def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> tuple[Columns, dict]:
+    """A sample's integer columns and the dict of its minor pairs taken so far."""
+    return _sample_columns(n, letters, rng_seed), {}
+
+
 def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
     """Product x_{i_1}(t_1)...x_{i_r}(t_r) with seeded nonzero rational t's.
 
     Every call returns a new matrix, built from the memoized integer columns.
     """
-    cols = _sample_columns(n, word.letters, rng_seed)
+    _check_cell(n, word.letters)
+    cols = _sample(n, word.letters, rng_seed)[0]
     zero = Fraction(0)
     return tuple(
         tuple(zero if c < r else Fraction(cols[c][1][r], cols[c][0]) for c in range(n))
@@ -179,16 +190,18 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
     return _det(sub)
 
 
-@lru_cache(maxsize=_MINOR_MEMO)
 def _sample_minor(
     n: int, letters: tuple[int, ...], rng_seed: int, rows: tuple[int, ...], cols: tuple[int, ...]
 ) -> tuple[int, int]:
     """Minor of ``cell_sample`` from its integer columns, as an unreduced
     (numerator, positive denominator) pair; column c is 0 below row c."""
-    columns = _sample_columns(n, letters, rng_seed)
-    sample = [columns[c - 1] for c in cols]
-    m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
-    return _int_det(m), math.prod(d for d, _ in sample)
+    columns, minors = _sample(n, letters, rng_seed)
+    pair = minors.get((rows, cols))
+    if pair is None:
+        sample = [columns[c - 1] for c in cols]
+        m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
+        pair = minors[rows, cols] = _int_det(m), math.prod(d for d, _ in sample)
+    return pair
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -267,21 +280,19 @@ def sampled_multidegree(
     rng_seed: int = 0,
     side: str = "left",
 ) -> dict[int, int]:
-    """Per-index degree maximized over seeded cell samples."""
+    """Per-index degree maximized over seeded cell samples.  A degree is never
+    above 1, so sample s is read only while some degree with a t-coefficient is 0."""
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
     letters = cell_word.letters
-    out = {j: 0 for j in js}
-    for s in range(samples):
-        # size and letter errors come before any minor's
-        _sample_columns(n, letters, rng_seed + s)
-        for j in js:
-            if out[j]:
-                continue  # a degree is never above 1
-            moved = _t_coefficient(spec, j, n, side)
-            if moved is not None:
-                out[j] = int(_sample_minor(n, letters, rng_seed + s, *moved)[0] != 0)
-    return out
+    _check_cell(n, letters)  # size and letter errors come before any minor's
+    moved = {j: _t_coefficient(spec, j, n, side) for j in js}
+    pending = [j for j, m in moved.items() if m is not None]
+    for seed in range(rng_seed, rng_seed + samples):
+        if not pending:
+            break
+        pending = [j for j in pending if not _sample_minor(n, letters, seed, *moved[j])[0]]
+    return {j: int(m is not None and j not in pending) for j, m in moved.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +403,7 @@ def verify_identity(
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
     letters = cell_word.letters
-    _sample_columns(n, letters, rng_seed)  # size and letter errors first
+    _check_cell(n, letters)  # size and letter errors first
     lhs.check_bounds(n)
     rhs.check_bounds(n)
     for s in range(samples):

@@ -55,6 +55,9 @@ _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 # positions x mutable positions for an initial exchange matrix.  At 8 bytes a
 # reference that is 128 MiB, checked before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
+# Lie types whose Cartan matrix and root supports are kept: the benchmark
+# ladder has 21, and one Cartan matrix may hold MAX_TABLE_ENTRIES entries.
+_TYPE_MEMO = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -153,7 +156,7 @@ def _chain(n: int) -> list[list[int]]:
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TYPE_MEMO)
 def cartan_matrix(lie_type: LieType) -> CartanMatrix:
     """Cartan matrix in Bourbaki numbering; in B_n the short root is alpha_n."""
     n = lie_type.rank
@@ -306,7 +309,7 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
     return weight
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TYPE_MEMO)
 def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l)."""
     cm = cartan_matrix(lie_type)

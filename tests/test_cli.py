@@ -170,6 +170,26 @@ class TestSeed:
         code, _, err = run(capsys, "seed", "B3", "--J", "3", "--fixture", "a5")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["seed", "lift", "liftrel", "flagseed", "mutate"])
+    @pytest.mark.parametrize("source", ["fixture", "seed-file"])
+    @pytest.mark.parametrize(
+        "extra", [("--J", "1"), ("--word", "1,2,3"), ("--J", "1", "--word", "1,2,3")]
+    )
+    def test_type_options_only_with_a_type(self, tmp_path, capsys, command, source, extra):
+        # --J and --word used to be dropped in silence beside another source
+        if source == "fixture":
+            src = ("--fixture", "b3")
+        else:
+            f = tmp_path / "b3.json"
+            f.write_text(json.dumps(_b3_seed_dict()))
+            src = ("--seed-file", str(f))
+        args = (command, *src) + {"lift": ("--k", "1"), "liftrel": ("--k", "1"),
+                                  "mutate": ("--seq", "1")}.get(command, ())
+        assert run(capsys, *args)[0] == 0
+        code, out, err = run(capsys, *args, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --J and --word go only with an explicit type\n"
+
     @pytest.mark.parametrize("word,letter", [("0,1", 0), ("-1", -1), ("1,7", 7)])
     def test_letter_out_of_range(self, capsys, word, letter):
         code, out, err = run(capsys, "seed", "A3", "--J", "1", "--word", word)

@@ -590,3 +590,155 @@ class TestLiftedRelationIdentities:
         for name, lhs, rhs in lifted_relation_identities(seed_a5):
             report = verify_identity(lhs, rhs, 6, A5_WORD, samples=10, rng_seed=9)
             assert report.equal, f"{name}: {report}"
+
+
+def _shuffled_pass(rng):
+    """One pass over A5-A8 as the benchmark worker runs it, shuffled: every
+    lifted-relation identity of a cell verified on that cell's one base, and
+    the sampled degrees of every variable, both sides on a fresh base.  An op
+    is a list of (check, args) calls."""
+    from cellseed import LieType, ParabolicConfig, cell_word, initial_seed
+    from cellseed.fixtures import lifted_relation_identities
+
+    ops = []
+    for rank in range(5, 9):
+        lt = LieType("A", rank)
+        cfg = ParabolicConfig.from_j(lt, (1, rank // 2))
+        seed = initial_seed(lt, cfg, cell_word(lt, cfg))
+        n, word, base = rank + 1, seed.word, rng.randrange(1 << 30)
+        ops += [[(verify_identity, (lhs, rhs, n, word, 20, base))]
+                for _name, lhs, rhs in lifted_relation_identities(seed)]
+        for k in range(1, seed.size + 1):
+            spec = weyl_minor_spec(seed.label(k).prefix, seed.label(k).fund, rank)
+            base = rng.randrange(1 << 30)
+            ops.append([(sampled_multidegree, (spec, cfg.j_set, n, word, 3, base, side))
+                        for side in ("left", "right")])
+    rng.shuffle(ops)
+    return ops
+
+
+class TestSampleMemo:
+    """One memo of samples, each keeping the minor pairs taken on it."""
+
+    def test_shuffled_passes_rebuild_only_what_the_memo_dropped(self, monkeypatch):
+        from collections import OrderedDict
+
+        from cellseed import oracle
+
+        log, built, dets = [], [0], [0]
+        columns, sample_minor = oracle._sample_columns, oracle._sample_minor
+        int_det = oracle._int_det
+
+        def counting_columns(n, letters, rng_seed):
+            built[0] += 1
+            return columns(n, letters, rng_seed)
+
+        def logging_minor(n, letters, rng_seed, rows, cols):
+            b, d = built[0], dets[0]
+            pair = sample_minor(n, letters, rng_seed, rows, cols)
+            log.append(((n, letters, rng_seed), (rows, cols), built[0] > b, dets[0] > d))
+            return pair
+
+        def counting_det(m):
+            dets[0] += 1
+            return int_det(m)
+
+        monkeypatch.setattr(oracle, "_sample_columns", counting_columns)
+        monkeypatch.setattr(oracle, "_sample_minor", logging_minor)
+        monkeypatch.setattr(oracle, "_int_det", counting_det)
+        oracle._sample.cache_clear()
+        rng = random.Random(15)
+        # the second pass starts with the memo full of the first pass's samples
+        for _ in range(2):
+            for op in _shuffled_pass(rng):
+                for check, args in op:
+                    assert getattr(check(*args), "equal", True)  # no FAIL, no cell_sample
+        # a sample is built again only after _SAMPLE_MEMO others were read
+        # since its last read, and a minor pair is evaluated once per build
+        model = OrderedDict()
+        for key, pair, was_built, was_evaluated in log:
+            if key in model:
+                model.move_to_end(key)
+            else:
+                model[key] = set()
+                if len(model) > oracle._SAMPLE_MEMO:
+                    model.popitem(last=False)
+            assert was_built == (not model[key]), key
+            assert was_evaluated == (pair not in model[key]), (key, pair)
+            model[key].add(pair)
+        samples = len({key for key, *_ in log})
+        builds = sum(entry[2] for entry in log)
+        evaluations = sum(entry[3] for entry in log)
+        # the memo holds what a pass reuses: few rebuilds, few evaluations
+        assert samples <= builds < 1.1 * samples
+        assert dets[0] == evaluations < len(log) / 3
+
+
+class TestLazyDegrees:
+    """``sampled_multidegree`` builds a sample only while a degree is pending."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from cellseed import oracle
+
+        built = []
+        columns = oracle._sample_columns
+
+        def counting(n, letters, rng_seed):
+            built.append(rng_seed)
+            return columns(n, letters, rng_seed)
+
+        monkeypatch.setattr(oracle, "_sample_columns", counting)
+        oracle._sample.cache_clear()
+        return built
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_no_t_coefficient_builds_nothing(self, monkeypatch, side):
+        built = self._count_builds(monkeypatch)
+        # rows 1..3 hold 1 and 2 (left), columns 1..3 hold 2 and 3 (right)
+        spec, js = D([1, 2, 3], [1, 2, 3]), (1, 2)
+        got = sampled_multidegree(spec, js, 6, A5_WORD, samples=5, rng_seed=3, side=side)
+        assert sampled_multidegree(spec, (), 6, A5_WORD, samples=5, rng_seed=3, side=side) == {}
+        assert built == []
+        assert got == {1: 0, 2: 0} == _reference_multidegree(spec, js, 6, A5_WORD, 5, 3, side)
+
+    def test_degrees_of_one_on_the_first_sample_build_one(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        # the t-coefficients of D{1|2} at j=1 are D{2|2} (left) and D{1|1}
+        # (right), both 1; j=2 has none on either side
+        spec, js = D([1], [2]), (1, 2, 1)
+        sides = ("left", "right")
+        got = [sampled_multidegree(spec, js, 6, A5_WORD, 5, 40, side) for side in sides]
+        assert built == [40]
+        for side, degrees in zip(sides, got):
+            want = _reference_multidegree(spec, js, 6, A5_WORD, 5, 40, side)
+            assert degrees == {1: 1, 2: 0} == want
+
+    @pytest.mark.parametrize("rank", [2, 4, 6, 9])
+    def test_samples_built_while_a_degree_is_pending(self, monkeypatch, rank):
+        from cellseed import oracle
+
+        built = self._count_builds(monkeypatch)
+        rng, n = random.Random(1500 + rank), rank + 1
+        for _ in range(25):
+            word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 2 * rank))))
+            spec, side = _random_spec(rng, n), rng.choice(("left", "right"))
+            js = tuple(rng.randint(1, rank) for _ in range(rng.randint(1, 4)))
+            samples, base = rng.randint(1, 5), rng.randrange(1 << 20)
+            args = (spec, js, n, word, samples, base, side)
+            oracle._sample.cache_clear()
+            del built[:]
+            got = sampled_multidegree(*args)
+            reads = list(built)
+            assert got == _reference_multidegree(*args)
+            # sample s is read only while some j with a t-coefficient has
+            # degree 0 on samples 0..s-1
+            pending = {j for j in js if oracle._t_coefficient(spec, j, n, side)}
+            want = []
+            for s in range(samples):
+                if not pending:
+                    break
+                want.append(base + s)
+                mat = cell_sample(n, word, base + s)
+                pending = {j for j in pending if not edagger_degree(spec, j, mat, side)}
+            assert reads == want

@@ -1,9 +1,11 @@
-"""The package imports nothing outside itself and the standard library, and
-each layer imports only the layers below it."""
+"""The package imports nothing outside itself and the standard library, each
+layer imports only the layers below it, and every memo has a bound."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellseed"
 
@@ -60,3 +62,61 @@ def test_layers_import_only_lower_layers():
         for name, allowed in LAYERS.items()
     }
     assert broken == {name: [] for name in LAYERS}
+
+
+def _unbounded_caches(source):
+    """Line of every ``lru_cache`` without a finite positive integer ``maxsize``
+    (a literal, or a module-level name bound to one), and of every import of
+    the unbounded ``functools.cache``."""
+    tree = ast.parse(source)
+    sizes = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad += [node.lineno for alias in node.names if alias.name == "cache"]
+        if getattr(node, "id", getattr(node, "attr", None)) not in ("lru_cache", "cache"):
+            continue
+        call = calls.get(id(node))
+        given = []
+        if call:
+            given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+        size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+        if given and isinstance(given[0], ast.Name):
+            size = sizes.get(given[0].id)
+        if not (type(size) is int and size > 0):
+            bad.append(node.lineno)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "source,bad",
+    [
+        ("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): pass\n", []),
+        ("from functools import lru_cache\nN = 8\n@lru_cache(N)\ndef f(x): pass\n", []),
+        ("import functools\n@functools.lru_cache(maxsize=8)\ndef f(x): pass\n", []),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass\n", [2]),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass\n", [2]),
+        ("from functools import lru_cache\nN = None\n@lru_cache(maxsize=N)\ndef f(x): pass\n", [3]),
+        ("from functools import lru_cache\ndef f(x): pass\ng = lru_cache(None)(f)\n", [3]),
+        ("import functools\n@functools.cache\ndef f(x): pass\n", [2]),
+        ("from functools import cache\n@cache\ndef f(x): pass\n", [1, 2]),
+    ],
+)
+def test_unbounded_cache_finder(source, bad):
+    assert _unbounded_caches(source) == bad
+
+
+def test_every_lru_cache_is_bounded():
+    # a memo without a bound keeps every input a long-lived process has seen
+    found = {
+        path.name: _unbounded_caches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found == {name: [] for name in found}
+    assert "lru_cache" in (PACKAGE / "oracle.py").read_text()

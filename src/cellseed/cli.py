@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import fixtures
-from .exprlang import parse_identity
 from .lift import (
     bhat_column,
     build_flag_seed,
@@ -63,7 +62,7 @@ def _read_text(path: str) -> str:
 def _resolve_seed(args) -> Seed:
     sources = [
         args.seed_file is not None,
-        getattr(args, "fixture", None) is not None,
+        args.fixture is not None,
         args.type is not None,
     ]
     if sum(sources) != 1:
@@ -74,7 +73,7 @@ def _resolve_seed(args) -> Seed:
         raise CellSeedError("--J and --word go only with an explicit type")
     if args.seed_file is not None:
         return seed_from_json(_read_text(args.seed_file))
-    if getattr(args, "fixture", None) is not None:
+    if args.fixture is not None:
         return fixtures.load_seed(args.fixture)
     lt = LieType.parse(args.type)
     if args.J is None:
@@ -182,6 +181,10 @@ def cmd_mutate(args) -> int:
     seed = _resolve_seed(args)
     if args.seq is None and not args.interactive:
         raise CellSeedError("give --seq or --interactive")
+    if args.seq is not None and args.interactive:
+        raise CellSeedError("give --seq or --interactive, not both")
+    if args.interactive and args.json:
+        raise CellSeedError("--interactive prints text only; it does not go with --json")
     if args.seq is not None:
         for k in _parse_sequence(args.seq):
             seed = mutate_seed(seed, k)
@@ -201,41 +204,30 @@ def cmd_mutate(args) -> int:
         print(render_seed(seed))
 
 
-def _verify_lines(args) -> tuple[int, Word, list[str]]:
+def _verify_identities(args) -> tuple[int, Word, Iterable[fixtures.Identity]]:
     if args.fixture is not None and args.file is not None:
         raise CellSeedError("give either a fixture name or an expression file")
     if args.fixture is not None:
         if args.n is not None or args.cell_word is not None:
             raise CellSeedError("--n and --cell-word go only with an expression file")
-        if args.fixture in fixtures.VERIFY_FIXTURES:
-            n, word, lines = fixtures.VERIFY_FIXTURES[args.fixture]
-            return n, word, list(lines)
-        if args.fixture == "lifted-relations-A5":
-            seed = fixtures.load_seed("a5")
-            idents = fixtures.lifted_relation_identities(seed)
-            return seed.lie_type.rank + 1, seed.word, list(idents)
-        raise CellSeedError(f"unknown fixture {args.fixture!r}")
+        return fixtures.verify_fixture(args.fixture)
     if args.file is None:
         raise CellSeedError("give --fixture or an expression file")
     if args.n is None or args.cell_word is None:
         raise CellSeedError("--n and --cell-word are required with an expression file")
-    lines = [ln.strip() for ln in _read_text(args.file).split("\n")]
-    return args.n, Word.parse(args.cell_word), [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, _read_text(args.file).split("\n")) if ln and ln[0] != "#"]
+    if not lines:  # nothing to check must not read as PASS
+        raise CellSeedError(f"{args.file} holds no identities")
+    return args.n, Word.parse(args.cell_word), fixtures.numbered_identities(lines)
 
 
 def cmd_verify(args) -> int:
-    n, word, lines = _verify_lines(args)
-    results = []
-    ok = True
-    for idx, line in enumerate(lines):
-        if isinstance(line, str):
-            name = f"identity {idx + 1}"
-            lhs, rhs = parse_identity(line)
-        else:
-            name, lhs, rhs = line
-        report = verify_identity(lhs, rhs, n, word, args.samples, args.rng_seed)
-        ok = ok and report.equal
-        results.append((name, report))
+    n, word, identities = _verify_identities(args)
+    results = [
+        (name, verify_identity(lhs, rhs, n, word, args.samples, args.rng_seed))
+        for name, lhs, rhs in identities
+    ]
+    ok = all(report.equal for _, report in results)
     text_lines = [f"{name}: {report}" for name, report in results]
     payload = {
         "n": n,

@@ -82,8 +82,6 @@ def parse_expr(text: str) -> MinorExpr:
 
     def flush():
         nonlocal coef, factors, started, sign
-        if not started:
-            raise ExprParseError("empty term")
         degree = sum(e for _, e in factors)
         if degree > MAX_TERM_DEGREE:
             raise ExprParseError(f"term degree {degree} exceeds {MAX_TERM_DEGREE}")

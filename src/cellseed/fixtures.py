@@ -1,9 +1,16 @@
-"""Worked-example seeds and builtin verification fixtures shipped with the package."""
+"""Worked-example seeds and the builtin identity sets of ``verify``.
+
+``verify_fixture`` gives a builtin set as its matrix size, cell word and
+(name, lhs, rhs) triples; ``numbered_identities`` makes the same triples of
+an identity file's lines, parsing each when it is read.
+"""
 
 from __future__ import annotations
 
 from importlib import resources
+from typing import Iterable, Iterator
 
+from .exprlang import parse_identity
 from .lift import build_flag_seed, lift_relation, project
 from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec
 from .rootsys import CellSeedError, Word
@@ -29,20 +36,31 @@ def load_seed(name: str) -> Seed:
     return seed_from_json(text)
 
 
-#: builtin identity sets for the verify command: name -> (n, cell word, lines)
-VERIFY_FIXTURES: dict[str, tuple[int, Word, tuple[str, ...]]] = {
-    "minor-identities": (
-        6,
-        A5_WORD,
-        (
+Identity = tuple[str, MinorExpr, MinorExpr]
+
+
+def numbered_identities(lines: Iterable[str]) -> Iterator[Identity]:
+    """("identity t", lhs, rhs) for the t-th line, parsed when it is read."""
+    for t, line in enumerate(lines, start=1):
+        yield (f"identity {t}", *parse_identity(line))
+
+
+def verify_fixture(name: str) -> tuple[int, Word, Iterable[Identity]]:
+    """Matrix size, cell word and identities of the builtin set ``name``:
+    "minor-identities", or "lifted-relations-A5" from the a5 seed."""
+    if name == "minor-identities":
+        lines = (
             "D{1,3|5,6} = D{1|2}*D{2,3|5,6} - D{1,2,3|2,5,6}",
             "D{1,3|5,6} = D{1|2}*D{1,2,3|1,5,6} - D{1,2,3|2,5,6}",
-        ),
-    ),
-}
+        )
+        return 6, A5_WORD, numbered_identities(lines)
+    if name == "lifted-relations-A5":
+        seed = load_seed("a5")
+        return seed.lie_type.rank + 1, seed.word, lifted_relation_identities(seed)
+    raise CellSeedError(f"unknown fixture {name!r}")
 
 
-def lifted_relation_identities(seed: Seed) -> tuple[tuple[str, MinorExpr, MinorExpr], ...]:
+def lifted_relation_identities(seed: Seed) -> tuple[Identity, ...]:
     """Identities proj(lift of relation) == exchange binomial, per mutable k.
 
     Both sides are formal minor expressions; the left side uses the lift's own
@@ -53,7 +71,7 @@ def lifted_relation_identities(seed: Seed) -> tuple[tuple[str, MinorExpr, MinorE
     fs = build_flag_seed(seed)
     out = []
     for k in seed.mutable_positions():
-        lhs = restricted_to_expr(project(lift_relation(fs, k)), rank)
+        lhs = restricted_to_expr(project(lift_relation(fs, k)))
         terms = []
         for support in seed.matrix.binomial_supports(k):
             factors = []

@@ -34,7 +34,7 @@ from .rootsys import (
     check_letters,
     prefix_weights,
 )
-from .seedcore import Seed, mutate_seed, require_reduced, seed_to_dict
+from .seedcore import Seed, mutate_seed, render_rows, require_reduced, seed_to_dict
 
 
 class LiftDegreeError(CellSeedError):
@@ -564,13 +564,7 @@ def render_flag_seed(fs: FlagSeed) -> str:
     for sym in fs.unit_frozen:
         lines.append(f"   +: {sym}  deg w{sym.fund}  (frozen)")
     lines.append(seed.matrix.render())
-    width = max(
-        [len(str(x)) for row in fs.extension_rows for x in row]
-        + [len(str(c)) for c in seed.matrix.col_labels]
-        + [1]
-    )
-    lines.append("  " + "-" * (2 + (width + 1) * len(seed.matrix.col_labels)))
-    for j, row in zip(seed.cfg.j_set, fs.extension_rows):
-        body = " ".join(f"{x:>{width}}" for x in row)
-        lines.append(f"w{j} ( {body} )")
+    # the extension rows sit under the matrix, so their header is dropped
+    ext = [(f"w{j}", row) for j, row in zip(seed.cfg.j_set, fs.extension_rows)]
+    lines += render_rows(seed.matrix.col_labels, ext, 0)[1:]
     return "\n".join(lines)

@@ -63,8 +63,11 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
 _SAMPLE_MEMO = 160
 
 
-def _check_cell(n: int, letters: tuple[int, ...]) -> None:
-    """The size and letter errors of a cell sample, before anything is built."""
+def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
+    """The sample-count, size and letter errors of cell samples, in that
+    order, before anything is built."""
+    if samples < 1:
+        raise CellSeedError(f"need at least one sample, got {samples}")
     if n < 1:
         raise CellSeedError(f"matrix size must be at least 1, got {n}")
     for i in letters:
@@ -171,7 +174,7 @@ def cols_from_weight(weight: WeightVec, i: int) -> tuple[int, ...]:
     return tuple(ones)
 
 
-def minor_spec_from_symbol(sym: MinorSymbol, rank: int) -> MinorSpec:
+def minor_spec_from_symbol(sym: MinorSymbol) -> MinorSpec:
     """Minor of a restricted symbol; the weight alone determines the columns."""
     return MinorSpec(
         tuple(range(1, sym.fund + 1)), cols_from_weight(sym.weight, sym.fund)
@@ -282,10 +285,8 @@ def sampled_multidegree(
 ) -> dict[int, int]:
     """Per-index degree maximized over seeded cell samples.  A degree is never
     above 1, so sample s is read only while some degree with a t-coefficient is 0."""
-    if samples < 1:
-        raise CellSeedError(f"need at least one sample, got {samples}")
     letters = cell_word.letters
-    _check_cell(n, letters)  # size and letter errors come before any minor's
+    _check_cell(n, letters, samples)  # these errors come before any minor's
     moved = {j: _t_coefficient(spec, j, n, side) for j in js}
     pending = [j for j, m in moved.items() if m is not None]
     for seed in range(rng_seed, rng_seed + samples):
@@ -358,18 +359,14 @@ class MinorExpr:
         return out
 
 
-def restricted_to_expr(
-    x: Union[RestrictedMonomial, RestrictedSum], rank: int
-) -> MinorExpr:
+def restricted_to_expr(x: Union[RestrictedMonomial, RestrictedSum]) -> MinorExpr:
     """Formal minor expression of a projected lift."""
     if isinstance(x, RestrictedSum):
         terms = []
         for mono in x.terms:
-            terms.extend(restricted_to_expr(mono, rank).terms)
+            terms.extend(restricted_to_expr(mono).terms)
         return MinorExpr(tuple(terms))
-    factors = tuple(
-        (minor_spec_from_symbol(sym, rank), e) for sym, e in x.factors
-    )
+    factors = tuple((minor_spec_from_symbol(sym), e) for sym, e in x.factors)
     return MinorExpr(((1, factors),))
 
 
@@ -400,10 +397,8 @@ def verify_identity(
     rng_seed: int = 0,
 ) -> VerifyReport:
     """Compare two expressions on seeded cell samples with exact arithmetic."""
-    if samples < 1:
-        raise CellSeedError(f"need at least one sample, got {samples}")
     letters = cell_word.letters
-    _check_cell(n, letters)  # size and letter errors first
+    _check_cell(n, letters, samples)  # these errors first
     lhs.check_bounds(n)
     rhs.check_bounds(n)
     for s in range(samples):

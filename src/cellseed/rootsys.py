@@ -55,8 +55,8 @@ _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 # positions x mutable positions for an initial exchange matrix.  At 8 bytes a
 # reference that is 128 MiB, checked before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
-# Lie types whose Cartan matrix and root supports are kept: the benchmark
-# ladder has 21, and one Cartan matrix may hold MAX_TABLE_ENTRIES entries.
+# Lie types whose root supports are kept (the benchmark ladder has 21); each
+# holds at most four entries per vertex, not a dense Cartan matrix.
 _TYPE_MEMO = 64
 
 
@@ -156,7 +156,6 @@ def _chain(n: int) -> list[list[int]]:
     return a
 
 
-@lru_cache(maxsize=_TYPE_MEMO)
 def cartan_matrix(lie_type: LieType) -> CartanMatrix:
     """Cartan matrix in Bourbaki numbering; in B_n the short root is alpha_n."""
     n = lie_type.rank
@@ -296,7 +295,7 @@ def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
         raise CellSeedError(f"vertex {i} out of range for {lie_type}")
     _check_weight(lie_type, weight)
     mu = list(weight.coeffs)
-    _reflect_in_place(_root_supports(lie_type), mu, i)
+    _reflect_in_place(root_supports(lie_type), mu, i)
     return WeightVec(tuple(mu))
 
 
@@ -310,7 +309,7 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
-def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
+def root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l)."""
     cm = cartan_matrix(lie_type)
     return tuple(
@@ -319,7 +318,7 @@ def _root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _reflect_in_place(supports, mu: list[int], i: int) -> None:
-    """s_i on a coefficient list, with ``supports`` from ``_root_supports``."""
+    """s_i on a coefficient list, with ``supports`` from ``root_supports``."""
     c = mu[i - 1]
     if c:
         for l, a in supports[i - 1]:
@@ -335,7 +334,7 @@ def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     I_i - sum_l a[l][i] I_l.  The letters must already be checked.
     """
     images = [WeightVec.fundamental(lie_type.rank, j).coeffs for j in lie_type.vertices]
-    supports = _root_supports(lie_type)
+    supports = root_supports(lie_type)
     out = []
     for i in word.letters:
         image = images[i - 1]
@@ -355,7 +354,7 @@ def _inverse_rho(lie_type: LieType, word: Word) -> list[int]:
 
     Reflecting rho by the letters left to right gives s_ir...s_i1(rho).
     """
-    supports = _root_supports(lie_type)
+    supports = root_supports(lie_type)
     mu = [1] * lie_type.rank
     for i in word.letters:
         _reflect_in_place(supports, mu, i)
@@ -399,7 +398,7 @@ def _length_steps(lie_type: LieType, word: Word):
     exactly when <alpha_i^vee, mu> > 0.
     """
     check_letters(lie_type, word)
-    supports = _root_supports(lie_type)
+    supports = root_supports(lie_type)
     mu = [1] * lie_type.rank
     for i in word.letters:
         yield 1 if mu[i - 1] > 0 else -1
@@ -447,7 +446,7 @@ def _reduced_word_of(
     Over every vertex and mu = w^{-1}(rho) this is a reduced word for w.
     """
     letters = tuple(lie_type.vertices if letters is None else letters)
-    supports = _root_supports(lie_type)
+    supports = root_supports(lie_type)
     rev: list[int] = []
     while True:
         i = next((i for i in letters if mu[i - 1] < 0), None)

@@ -22,6 +22,7 @@ from .rootsys import (
     Word,
     cartan_matrix,
     reduced_violation,
+    root_supports,
 )
 
 
@@ -139,19 +140,21 @@ class ExchangeMatrix:
 
     def render(self) -> str:
         """Block layout with row labels, mutable rows above a separator."""
-        width = max(
-            [len(str(c)) for c in self.col_labels]
-            + [len(str(x)) for row in self.entries for x in row]
-            + [1]
-        )
-        lines = ["    " + " ".join(f"{c:>{width}}" for c in self.col_labels)]
-        n_mut = len(self.col_labels)
-        for r, (label, row) in enumerate(zip(self.row_labels, self.entries)):
-            if r == n_mut:
-                lines.append("  " + "-" * (2 + (width + 1) * len(self.col_labels)))
-            body = " ".join(f"{x:>{width}}" for x in row)
-            lines.append(f"{label:>2} ( {body} )")
-        return "\n".join(lines)
+        rows = list(zip(self.row_labels, self.entries))
+        return "\n".join(render_rows(self.col_labels, rows, len(self.col_labels)))
+
+
+def render_rows(cols: tuple[int, ...], rows: list, rule_at: int) -> list[str]:
+    """A header of ``cols``, then a line "label ( entries )" per (label, entries)
+    of ``rows``, a rule line before row ``rule_at``, all right-aligned to one width."""
+    width = max([len(str(x)) for x in cols] + [len(str(x)) for _, row in rows for x in row] + [1])
+    lines = ["    " + " ".join(f"{c:>{width}}" for c in cols)]
+    for r, (label, row) in enumerate(rows):
+        if r == rule_at:
+            lines.append("  " + "-" * (2 + (width + 1) * len(cols)))
+        body = " ".join(f"{x:>{width}}" for x in row)
+        lines.append(f"{label:>2} ( {body} )")
+    return lines
 
 
 def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
@@ -160,11 +163,12 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
     b_{jk} is +1 at j = p(k), -1 at j = s(k), the Cartan entry a_{i_j i_k}
     when j < k < s(j) < s(k), its negative when k < j < s(k) < s(j), else 0.
     A letter i_j = i_k meets neither chain, so column k is filled only at
-    p(k), s(k) and the positions whose letter is adjacent to i_k.
+    p(k), s(k) and the positions whose letter is adjacent to i_k, read from
+    the root support of alpha_{i_k}.
     """
     require_reduced(lie_type, word)
     data = successor_maps(word)
-    cm = cartan_matrix(lie_type)
+    supports = root_supports(lie_type)
     letters = word.letters
     INF = len(letters) + 1  # stands in for +infinity in the strict chains below
     s = [INF if v is None else v for v in data.s]
@@ -185,11 +189,8 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
         if data.p[k - 1] is not None:
             rows[data.p[k - 1]][c] = 1
         rows[sk][c] = -1
-        for l, positions in at.items():
-            a = cm.entry(l, i)
-            if l == i or not a:
-                continue
-            for j in positions:
+        for l, a in supports[i - 1]:  # a = a[l+1][i]; l+1 = i meets neither chain
+            for j in at.get(l + 1, ()):
                 if j < k < s[j - 1] < sk:
                     rows[j][c] = a
                 elif k < j < sk < s[j - 1]:

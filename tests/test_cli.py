@@ -299,6 +299,29 @@ class TestMutate:
         assert proc.returncode == 0
         assert "cannot mutate" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ((*B3_ARGS, "--seq", "1", "--interactive"), "give --seq or --interactive, not both"),
+            (
+                ("--fixture", "b3", "--interactive", "--json"),
+                "--interactive prints text only; it does not go with --json",
+            ),
+        ],
+        ids=["seq-and-interactive", "interactive-and-json"],
+    )
+    def test_conflicting_options_rejected(self, capsys, argv, message):
+        # each used to drop the second option without a word
+        code, out, err = run(capsys, "mutate", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_each_option_alone_still_works(self, capsys):
+        code, out, _ = run(capsys, "mutate", *B3_ARGS, "--seq", "1", "--json")
+        assert code == 0 and json.loads(out)["history"] == [1]
+        proc = run_proc("mutate", "--fixture", "b3", "--interactive", stdin="1\nq\n")
+        assert proc.returncode == 0
+        assert proc.stdout.count("seed B3  J={3}") == 2
+
 
 class TestVerify:
     def test_gls_fixture(self, capsys):
@@ -386,6 +409,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--fixture", "minor-identities", *extra)
         assert (code, out) == (2, "")
         assert err == "error: --n and --cell-word go only with an expression file\n"
+
+    @pytest.mark.parametrize(
+        "text,extra",
+        [
+            ("", ("--n", "6", "--cell-word", "1,2,3")),
+            ("# only a comment\n\n   # another\n", ("--n", "6", "--cell-word", "1,2,3")),
+            ("", ("--n", "0", "--cell-word", "1,2,3")),
+            ("", ("--n", "3", "--cell-word", "7,7")),
+        ],
+        ids=["empty", "comments-only", "size-0", "letters-out-of-range"],
+    )
+    def test_file_without_identities_rejected(self, tmp_path, capsys, text, extra):
+        # checking nothing used to print PASS and exit 0
+        f = tmp_path / "none.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "verify", "--file", str(f), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {f} holds no identities\n"
 
     def test_file_requires_context(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"

@@ -20,12 +20,23 @@ from cellseed import (
     two_step_A_words,
     word_length,
 )
+from cellseed.fixtures import load_seed
+from cellseed.lift import MultiDegree
+from cellseed.oracle import (
+    MinorSpec,
+    cols_from_weight,
+    edagger_degree,
+    identity_matrix,
+    weyl_minor_spec,
+    word_permutation,
+)
 from cellseed.rootsys import (
     _diagram_involution,
     _positive_root_count,
     is_reduced,
     reduced_violation,
 )
+from cellseed.seedcore import initial_seed
 
 from conftest import braid_moves, positive_roots, random_words
 
@@ -345,3 +356,55 @@ def test_parse_subset_forms():
     assert parse_subset("{2,4,5}") == (2, 4, 5)
     assert parse_subset("2,4,5") == (2, 4, 5)
     assert parse_subset("{}") == ()
+
+
+A3 = LieType("A", 3)
+_BOUNDARY_RAISES = {
+    "J-past-rank": (lambda: ParabolicConfig(3, (1, 4)), "J (1, 4) not within 1..3"),
+    "word-text": (lambda: Word.parse("1,x"), "cannot parse word '1,x'"),
+    "subset-text": (lambda: parse_subset("{1,x}"), "cannot parse subset '1,x'"),
+    "fundamental-vertex": (lambda: WeightVec.fundamental(3, 4), "vertex 4 out of range 1..3"),
+    "reflect-vertex": (
+        lambda: reflect(A3, 4, WeightVec((1, 0, 0))), "vertex 4 out of range for A3"
+    ),
+    "longest-word-vertex": (lambda: longest_word(A3, (1, 4)), "vertex 4 out of range for A3"),
+    "cell-word-rank": (
+        lambda: cell_word(A3, ParabolicConfig(4, (1,))),
+        "configuration rank does not match the type",
+    ),
+    "initial-seed-rank": (
+        lambda: initial_seed(A3, ParabolicConfig(4, (1,)), Word((1,))),
+        "configuration rank does not match the type",
+    ),
+    "max-B-words-rank": (lambda: max_B_words(1), "need n >= 2"),
+    "unknown-seed": (lambda: load_seed("zz"), "unknown fixture seed 'zz'; have ('a5', 'b3')"),
+    "minor-index": (lambda: weyl_minor_spec(Word(()), 4, 3), "index 4 out of range for rank 3"),
+    "permutation-letter": (
+        lambda: word_permutation(Word((1, 4)), 4), "letter 4 out of range for size 4"
+    ),
+    "non-extremal-weight": (
+        lambda: cols_from_weight(WeightVec((2, 0, 0)), 1),
+        "(2,0,0) is not an extremal weight of level 1",
+    ),
+    "edagger-side": (
+        lambda: edagger_degree(MinorSpec((1,), (2,)), 1, identity_matrix(3), side="up"),
+        "unknown side 'up'",
+    ),
+    "edagger-letter": (
+        lambda: edagger_degree(MinorSpec((1,), (2,)), 3, identity_matrix(3)),
+        "letter 3 out of range for size 3",
+    ),
+    "degree-length": (lambda: MultiDegree((1, 2), (1,)), "degree length mismatch"),
+    "degree-mixed-J": (
+        lambda: MultiDegree((1,), (1,)) + MultiDegree((2,), (1,)), "degrees over different J"
+    ),
+    "unknown-family": (lambda: LieType("Q", 3), "unknown family 'Q'"),
+}
+
+
+@pytest.mark.parametrize("call,message", _BOUNDARY_RAISES.values(), ids=_BOUNDARY_RAISES)
+def test_boundary_raises(call, message):
+    """Each public entry point refuses bad input with a CellSeedError."""
+    with pytest.raises(CellSeedError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,5 +1,6 @@
 """The package imports nothing outside itself and the standard library, each
-layer imports only the layers below it, and every memo has a bound."""
+layer imports only the layers below it and only their public names, and every
+memo has a bound."""
 
 import ast
 import sys
@@ -44,6 +45,7 @@ LAYERS = {
     "lift": {"rootsys", "seedcore"},
     "oracle": {"rootsys", "lift"},
     "exprlang": {"rootsys", "oracle"},
+    "fixtures": {"rootsys", "seedcore", "lift", "oracle", "exprlang"},
 }
 
 
@@ -62,6 +64,37 @@ def test_layers_import_only_lower_layers():
         for name, allowed in LAYERS.items()
     }
     assert broken == {name: [] for name in LAYERS}
+
+
+def _private_imports(source):
+    """Every underscore name that ``source`` imports from a package module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "cellseed"
+        ):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("from .rootsys import root_supports, _check_weight\n", ["_check_weight"]),
+        ("from cellseed.oracle import _sample\n", ["_sample"]),
+        ("from . import _private\nfrom __future__ import annotations\n", ["_private"]),
+        ("from functools import _lru_cache_wrapper\n", []),
+    ],
+)
+def test_private_import_finder(source, names):
+    assert list(_private_imports(source)) == names
+
+
+def test_modules_import_no_private_names():
+    # a name another module needs is part of its owner's public surface
+    found = {
+        path.name: list(_private_imports(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found == {name: [] for name in found}
 
 
 def _unbounded_caches(source):

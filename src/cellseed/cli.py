@@ -34,6 +34,7 @@ from .rootsys import (
     parse_subset,
 )
 from .seedcore import (
+    NonReducedWordError,
     Seed,
     initial_seed,
     mutate_seed,
@@ -218,7 +219,14 @@ def _verify_identities(args) -> tuple[int, Word, Iterable[fixtures.Identity]]:
     lines = [ln for ln in map(str.strip, _read_text(args.file).split("\n")) if ln and ln[0] != "#"]
     if not lines:  # nothing to check must not read as PASS
         raise CellSeedError(f"{args.file} holds no identities")
-    return args.n, Word.parse(args.cell_word), fixtures.numbered_identities(lines)
+    word = Word.parse(args.cell_word)
+    if all(0 < i < args.n for i in word.letters):  # else the oracle names the letter
+        perm = list(range(max(word.letters, default=0) + 1))  # the prefix in one-line notation
+        for pos, i in enumerate(word.letters, start=1):
+            if perm[i - 1] > perm[i]:  # s_i shortens a prefix with an inversion at i
+                raise NonReducedWordError(word, pos)
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return args.n, word, fixtures.numbered_identities(lines)
 
 
 def cmd_verify(args) -> int:

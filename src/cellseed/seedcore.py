@@ -119,24 +119,21 @@ class ExchangeMatrix:
         return tuple(tuple(rows[j]) for j in self.col_labels)
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation at the mutable position k."""
+        """Matrix mutation at the mutable position k.  Row k is negated and only the
+        rows with b_ik != 0 are rewritten; every other row is kept as it is."""
         if k not in self.col_labels:
             raise CellSeedError(f"position {k} is not mutable")
         ck = self.col_labels.index(k)
         rk = self.row_labels.index(k)
         krow = self.entries[rk]
-        new_rows = []
+        rows = list(self.entries)
+        rows[rk] = tuple(-b for b in krow)
         for r, row in enumerate(self.entries):
-            bik = row[ck]
-            new_row = []
-            for c, b in enumerate(row):
-                if r == rk or c == ck:
-                    new_row.append(-b)
-                else:
-                    bkj = krow[c]
-                    new_row.append(b + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-            new_rows.append(tuple(new_row))
-        return ExchangeMatrix(self.row_labels, self.col_labels, tuple(new_rows))
+            if (bik := row[ck]) and r != rk:
+                new = [b + (abs(bik) * bkj + bik * abs(bkj)) // 2 for b, bkj in zip(row, krow)]
+                new[ck] = -bik
+                rows[r] = tuple(new)
+        return ExchangeMatrix(self.row_labels, self.col_labels, tuple(rows))
 
     def render(self) -> str:
         """Block layout with row labels, mutable rows above a separator."""
@@ -332,10 +329,11 @@ def _check_seed(seed: Seed, labels: tuple[Label, ...], frozen: tuple[bool, ...])
         raise CellSeedError(f"{len(labels)} labels for a word of length {len(word)}")
     if frozen != seed.frozen_mask:
         raise CellSeedError("frozen flags must mark the positions whose letter never reoccurs")
-    if sorted(matrix.row_labels) != list(range(1, len(word) + 1)):
-        raise CellSeedError("matrix rows must be a permutation of the positions")
-    if sorted(matrix.col_labels) != list(successor_maps(word).mutable_positions()):
-        raise CellSeedError("matrix columns must be the mutable positions")
+    data = successor_maps(word)  # render draws its rule after len(cols) rows
+    if matrix.row_labels != data.mutable_positions() + data.frozen_positions():
+        raise CellSeedError("matrix rows must be a permutation of the positions, mutable first")
+    if matrix.col_labels != data.mutable_positions():
+        raise CellSeedError("matrix columns must be the mutable positions, in position order")
     for k in seed.history:
         if k not in matrix.col_labels:
             raise CellSeedError(f"history entry {k} is not a mutable position")

@@ -16,8 +16,10 @@ from cellseed import (
     cell_word,
     initial_seed,
     mutate_flag_seed,
+    mutate_seed,
 )
 from cellseed.lift import flag_seed_to_dict
+from cellseed.seedcore import seed_to_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +62,31 @@ def test_flag_walks_match_reference(family, rank, js):
         except CellSeedError as exc:
             got = workloads.raised_text(exc)
         assert got == WALK_REFERENCE[f"{name}/flag/{w}"], f"walk {w}"
+
+
+ALL_WALKS = [(*cell, kind) for cell in workloads.LADDER for kind in ("seed", "flag")]
+
+
+@pytest.mark.parametrize(
+    "family,rank,js,kind", ALL_WALKS, ids=[f"{f}{n}-{kind}" for f, n, _, kind in ALL_WALKS]
+)
+def test_every_walk_matches_reference(family, rank, js, kind):
+    """Every recorded seed and flag walk of the ladder, known raises included,
+    replays exactly."""
+    name = workloads.cell_name(family, rank)
+    lt = LieType(family, rank)
+    cfg = ParabolicConfig.from_j(lt, js)
+    seed = initial_seed(lt, cfg, cell_word(lt, cfg))
+    if kind == "seed":
+        start, step, to_dict = seed, mutate_seed, seed_to_dict
+    else:
+        start, step, to_dict = build_flag_seed(seed), mutate_flag_seed, flag_seed_to_dict
+    for w in range(workloads.WALK_POOL):
+        current = start
+        try:
+            for k in workloads.walk_sequence(name, seed.mutable_positions(), w):
+                current = step(current, k)
+            got = workloads.digest(json.dumps(to_dict(current), sort_keys=True))
+        except CellSeedError as exc:
+            got = workloads.raised_text(exc)
+        assert got == WALK_REFERENCE[f"{name}/{kind}/{w}"], f"walk {w}"

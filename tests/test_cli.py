@@ -428,6 +428,59 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {f} holds no identities\n"
 
+    @pytest.mark.parametrize(
+        "n,word,message",
+        [
+            ("3", "1,1", "word 1,1 is not reduced: length drops at letter 2 (prefix 1,1)"),
+            ("4", "1,2,1,2", "word 1,2,1,2 is not reduced: length drops at letter 4 (prefix 1,2,1,2)"),
+            ("6", "3,2,1,3,2,3,1", "word 3,2,1,3,2,3,1 is not reduced: length drops at letter 7 "
+             "(prefix 3,2,1,3,2,3,1)"),
+            # an out-of-range letter is named first, as before
+            ("3", "1,1,7", "letter 7 out of range for size 3"),
+            ("3", "7,7", "letter 7 out of range for size 3"),
+        ],
+        ids=["repeat", "braid", "long-prefix", "out-of-range", "out-of-range-repeat"],
+    )
+    def test_non_reduced_cell_word_rejected(self, tmp_path, capsys, n, word, message):
+        # "1,1" used to sample x_1(t)x_1(s), print FAIL and exit 1
+        f = tmp_path / "one.txt"
+        f.write_text("D{1|2} = 0\n")
+        code, out, err = run(capsys, "verify", "--file", str(f), "--n", n, "--cell-word", word)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_reducedness_needs_no_cartan_table(self, tmp_path):
+        # n - 1 is past the Cartan budget of LieType; the word is read as a permutation
+        from cellseed.cli import _verify_identities, build_parser
+        from cellseed.seedcore import NonReducedWordError
+
+        f = tmp_path / "one.txt"
+        f.write_text("D{1|2} = 0\n")
+        argv = ["verify", "--file", str(f), "--n", "5000", "--cell-word"]
+        n, word, _ = _verify_identities(build_parser().parse_args(argv + ["4999,4998,4999"]))
+        assert (n, word.letters) == (5000, (4999, 4998, 4999))
+        with pytest.raises(NonReducedWordError, match="length drops at letter 4"):
+            _verify_identities(build_parser().parse_args(argv + ["4999,4998,4999,4998"]))
+
+    def test_refusal_agrees_with_rootsys(self, tmp_path):
+        from cellseed.cli import _verify_identities, build_parser
+        from cellseed.rootsys import LieType, Word, reduced_violation
+        from cellseed.seedcore import NonReducedWordError
+
+        f = tmp_path / "one.txt"
+        f.write_text("D{1|2} = 0\n")
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            word = Word([rng.randint(1, n - 1) for _ in range(rng.randint(0, 10))])
+            argv = ["verify", "--file", str(f), "--n", str(n), "--cell-word", str(word)]
+            try:
+                _verify_identities(build_parser().parse_args(argv))
+                got = None
+            except NonReducedWordError as exc:
+                got = exc.position
+            assert got == reduced_violation(LieType("A", n - 1), word), argv
+
     def test_file_requires_context(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
         f.write_text("D{1|2} = D{1|2}\n")
@@ -514,6 +567,21 @@ def _after_mutation(k, edit):
     return apply
 
 
+def _rows_in_position_order(obj):
+    """The same matrix, entry for entry, with its rows listed 1..6."""
+    m = obj["matrix"]
+    order = sorted(range(len(m["rows"])), key=m["rows"].__getitem__)
+    m["rows"] = [m["rows"][r] for r in order]
+    m["entries"] = [m["entries"][r] for r in order]
+
+
+def _cols_reversed(obj):
+    """The same matrix, entry for entry, with its columns listed 4,2,1."""
+    m = obj["matrix"]
+    m["cols"] = m["cols"][::-1]
+    m["entries"] = [row[::-1] for row in m["entries"]]
+
+
 class TestSeedFile:
     """A seed file is checked against its word before anything is lifted."""
 
@@ -551,11 +619,15 @@ class TestSeedFile:
              "label word must hold only integers"),
             (_after_mutation(1, _set(["labels", 0], {"path": [True]})),
              "label path must hold only integers"),
+            # text output draws its rule after len(cols) rows
+            (_rows_in_position_order, "matrix rows must be a permutation of the positions"),
+            (_cols_reversed, "matrix columns must be the mutable positions"),
         ],
         ids=["reduced", "label", "frozen", "rows", "cols", "mutation-label", "skew", "missing-key",
              "missing-type", "bool-letter", "bool-J", "string-history", "string-frozen", "int-frozen",
              "frozen-history", "history-past-end", "path-vs-history", "empty-path", "float-label-i",
-             "float-label-word", "bool-label-i", "bool-label-word", "bool-label-path"],
+             "float-label-word", "bool-label-i", "bool-label-word", "bool-label-path",
+             "rows-in-position-order", "cols-reversed"],
     )
     def test_invariant_violation_rejected(self, tmp_path, capsys, edit, message):
         obj = _b3_seed_dict()

@@ -221,6 +221,92 @@ class TestMutationProperties:
                     assert d[a] * pp[a][b] == -d[b] * pp[b][a]
 
 
+def _per_entry_mutate(mat, k):
+    """The per-entry rule at every (row, column): row k and column k negated,
+    b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 elsewhere."""
+    ck, rk = mat.col_labels.index(k), mat.row_labels.index(k)
+    krow = mat.entries[rk]
+    rows = []
+    for r, row in enumerate(mat.entries):
+        bik = row[ck]
+        new_row = []
+        for c, b in enumerate(row):
+            if r == rk or c == ck:
+                new_row.append(-b)
+            else:
+                bkj = krow[c]
+                new_row.append(b + (abs(bik) * bkj + bik * abs(bkj)) // 2)
+        rows.append(tuple(new_row))
+    return ExchangeMatrix(mat.row_labels, mat.col_labels, tuple(rows))
+
+
+def _shuffled_rows(mat, rng):
+    """``mat`` with its labeled rows in a random order, so not mutable-first."""
+    order = list(range(len(mat.row_labels)))
+    rng.shuffle(order)
+    return ExchangeMatrix(
+        tuple(mat.row_labels[r] for r in order),
+        mat.col_labels,
+        tuple(mat.entries[r] for r in order),
+    )
+
+
+def _random_matrices(rng, count):
+    """``count`` random extended matrices, each also with its rows shuffled."""
+    for _ in range(count):
+        mat, _ = _random_extended_matrix(rng)
+        yield mat
+        yield _shuffled_rows(mat, rng)
+
+
+class TestRowwiseMutation:
+    """mutate rewrites row k and the rows with b_ik != 0 only; the per-entry
+    rule is the oracle."""
+
+    def test_equals_per_entry_rule(self):
+        rng = random.Random(17)
+        for mat in _random_matrices(rng, 1000):
+            for k in mat.col_labels:
+                assert mat.mutate(k) == _per_entry_mutate(mat, k), (mat, k)
+
+    def test_equals_per_entry_rule_on_any_integer_matrix(self):
+        # no skew-symmetry, so b_kk may be nonzero; rows in random order
+        rng = random.Random(18)
+        for _ in range(300):
+            c, m = rng.randint(1, 5), rng.randint(0, 3)
+            rows = tuple(tuple(rng.randint(-3, 3) for _ in range(c)) for _ in range(c + m))
+            mat = _shuffled_rows(ExchangeMatrix(tuple(range(1, c + m + 1)),
+                                                tuple(range(1, c + 1)), rows), rng)
+            for k in mat.col_labels:
+                assert mat.mutate(k) == _per_entry_mutate(mat, k), (mat, k)
+
+    def test_cell_seeds_equal_per_entry_rule(self):
+        rng = random.Random(19)
+        for lt, word in reduced_words():
+            mat = initial_matrix(lt, word)
+            for _ in range(5):
+                if not mat.col_labels:
+                    break
+                k = rng.choice(mat.col_labels)
+                want = _per_entry_mutate(mat, k)
+                mat = mat.mutate(k)
+                assert mat == want, f"{lt} {word} k={k}"
+
+    def test_rows_off_the_support_are_kept(self):
+        rng = random.Random(20)
+        mats = list(_random_matrices(rng, 200)) + [initial_matrix(LieType("B", 3), B3_WORD)]
+        kept = 0
+        for mat in mats:
+            for k in mat.col_labels:
+                new = mat.mutate(k)
+                ck = mat.col_labels.index(k)
+                for j, old_row, new_row in zip(mat.row_labels, mat.entries, new.entries):
+                    if j != k and old_row[ck] == 0:
+                        assert new_row is old_row, (mat, k, j)
+                        kept += 1
+        assert kept > 500
+
+
 def _dense_initial_matrix(lt, word):
     """The four-case formula at every (row, column), p and s found by scanning."""
     from cellseed import cartan_matrix

@@ -1,13 +1,16 @@
 """Tiny parser for formal restricted-minor expressions.
 
-Grammar (whitespace insensitive):
+Grammar (whitespace may stand between tokens and around indices):
 
-    expr   := term (('+' | '-') term)*
-    term   := [int] factor ('*'? factor)*
+    expr   := [sign] term (sign term)*
+    sign   := '+' | '-'
+    term   := int | [int ['*']] factor (['*'] factor)*
     factor := 'D' '{' ints '|' ints '}' ['^' int]
     ints   := int (',' int)*
 
-Example: ``D{1,3|5,6} - D{1|2}*D{2,3|5,6}^2 + 3``.
+A bare integer is a constant term, and ``D{1|2}^0`` is 1.  Example:
+``-D{1,3|5,6} + 2*D{1|2} D{2,3|5,6}^2 - 3``.  ``MinorExpr.__str__`` writes
+text that parses back to the same terms.
 
 A term's degree, the sum of its exponents, is at most ``MAX_TERM_DEGREE``:
 evaluating a minor to a huge power would run without end.
@@ -70,64 +73,37 @@ def _parse_minor(tok: str) -> MinorSpec:
         raise ExprParseError(str(exc)) from exc
 
 
-def parse_expr(text: str) -> MinorExpr:
-    toks = list(_tokens(text))
-    if not toks:
-        raise ExprParseError("empty expression")
-    terms = []
-    sign = 1
-    coef = None
-    factors: list[tuple[MinorSpec, int]] = []
-    started = False
+_SIGN = {("op", "+"): 1, ("op", "-"): -1}
+_END = ("end", "end of input")
 
-    def flush():
-        nonlocal coef, factors, started, sign
+
+def parse_expr(text: str) -> MinorExpr:
+    toks = [*_tokens(text), _END]
+    if toks[0] == _END:
+        raise ExprParseError("empty expression")
+    terms, i = [], 0
+    while toks[i] != _END:  # one term per pass; a sign or _END follows it
+        sign = _SIGN.get(toks[i], 1)
+        i += toks[i] in _SIGN
+        coef = toks[i][1] if toks[i][0] == "int" else None
+        i += coef is not None
+        factors: list[tuple[MinorSpec, int]] = []
+        while (coef is None and not factors) or not (toks[i] in _SIGN or toks[i] == _END):
+            if toks[i] == ("op", "*") and (coef is not None or factors):
+                i += 1
+            kind, val = toks[i]
+            if kind != "minor":
+                raise ExprParseError(f"expected a minor, got {val!r}")
+            e, i = 1, i + 1
+            if toks[i] == ("op", "^"):
+                if toks[i + 1][0] != "int":
+                    raise ExprParseError("exponent must be an integer")
+                e, i = toks[i + 1][1], i + 2
+            factors.append((_parse_minor(val), e))
         degree = sum(e for _, e in factors)
         if degree > MAX_TERM_DEGREE:
             raise ExprParseError(f"term degree {degree} exceeds {MAX_TERM_DEGREE}")
         terms.append((sign * (1 if coef is None else coef), tuple(factors)))
-        coef, factors, started = None, [], False
-
-    i = 0
-    while i < len(toks):
-        kind, val = toks[i]
-        if kind == "op" and val in "+-":
-            if started:
-                flush()
-            elif terms or sign != 1 or coef is not None:
-                raise ExprParseError("misplaced sign")
-            sign = 1 if val == "+" else -1
-            i += 1
-            continue
-        if kind == "int":
-            if started:
-                raise ExprParseError("coefficient must precede its factors")
-            coef = val
-            started = True
-            i += 1
-            continue
-        if kind == "minor":
-            spec = _parse_minor(val)
-            e = 1
-            if i + 2 < len(toks) and toks[i + 1] == ("op", "^"):
-                if toks[i + 2][0] != "int":
-                    raise ExprParseError("exponent must be an integer")
-                e = toks[i + 2][1]
-                i += 2
-            factors.append((spec, e))
-            started = True
-            i += 1
-            continue
-        if kind == "op" and val == "*":
-            if not started:
-                raise ExprParseError("misplaced '*'")
-            i += 1
-            continue
-        raise ExprParseError(f"unexpected token {val!r}")
-    if started:
-        flush()
-    else:
-        raise ExprParseError("trailing operator")
     return MinorExpr(tuple(terms))
 
 

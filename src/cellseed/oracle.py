@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
-from .rootsys import CellSeedError, WeightVec, Word
+from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, WeightVec, Word
 from .lift import MinorSymbol, RestrictedMonomial, RestrictedSum
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -64,12 +64,16 @@ _SAMPLE_MEMO = 160
 
 
 def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
-    """The sample-count, size and letter errors of cell samples, in that
-    order, before anything is built."""
+    """The sample-count, size, table-budget and letter errors of cell
+    samples, in that order, before anything is built."""
     if samples < 1:
         raise CellSeedError(f"need at least one sample, got {samples}")
     if n < 1:
         raise CellSeedError(f"matrix size must be at least 1, got {n}")
+    if n * n > MAX_TABLE_ENTRIES:  # the n x n matrix of cell_sample
+        raise CellSeedError(
+            f"a {n}x{n} sample matrix is past the budget of {MAX_TABLE_ENTRIES} table entries"
+        )
     for i in letters:
         if not 1 <= i <= n - 1:
             raise CellSeedError(f"letter {i} out of range for size {n}")
@@ -338,25 +342,15 @@ class MinorExpr:
         return total, den
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        """Text in the grammar of ``exprlang`` that parses back to these terms;
+        with no terms, ``0``."""
+        out = ""
         for coef, factors in self.terms:
-            body = "*".join(
-                str(spec) + (f"^{e}" if e > 1 else "") for spec, e in factors
-            )
-            if not body:
-                body = "1"
-            if coef == 1:
-                parts.append(body)
-            elif coef == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coef} {body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
-        return out
+            body = "*".join(f"{spec}^{e}" if e != 1 else str(spec) for spec, e in factors)
+            if abs(coef) != 1 or not body:
+                body = f"{abs(coef)} {body}".rstrip()
+            out += (" - " if coef < 0 else " + ") + body
+        return ("-" + out[3:]) if out[1:2] == "-" else (out[3:] or "0")
 
 
 def restricted_to_expr(x: Union[RestrictedMonomial, RestrictedSum]) -> MinorExpr:

@@ -52,8 +52,9 @@ _RANK_BOUNDS = {
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 # Entries a dense integer table may have: rank x rank for a Cartan matrix,
-# positions x mutable positions for an initial exchange matrix.  At 8 bytes a
-# reference that is 128 MiB, checked before the table is allocated.
+# positions x mutable positions for an initial exchange matrix, n x n for a
+# cell sample.  At 8 bytes a reference that is 128 MiB, checked before the
+# table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
 # Lie types whose root supports are kept (the benchmark ladder has 21); each
 # holds at most four entries per vertex, not a dense Cartan matrix.

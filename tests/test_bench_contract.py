@@ -18,6 +18,8 @@ from cellseed import (
     mutate_flag_seed,
     mutate_seed,
 )
+from cellseed.exprlang import parse_identity
+from cellseed.fixtures import lifted_relation_identities, load_seed
 from cellseed.lift import flag_seed_to_dict
 from cellseed.seedcore import seed_to_dict
 
@@ -90,3 +92,22 @@ def test_every_walk_matches_reference(family, rank, js, kind):
         except CellSeedError as exc:
             got = workloads.raised_text(exc)
         assert got == WALK_REFERENCE[f"{name}/{kind}/{w}"], f"walk {w}"
+
+
+def _identity_seeds():
+    yield "a5", load_seed("a5")
+    for family, rank, js in workloads.ORACLE_CELLS:
+        lt = LieType(family, rank)
+        cfg = ParabolicConfig.from_j(lt, js)
+        yield workloads.cell_name(family, rank), initial_seed(lt, cfg, cell_word(lt, cfg))
+
+
+def test_identity_texts_parse_back():
+    """oracle-exact parses the written text of each lifted relation; it must
+    give back the same expressions, not only the same text."""
+    count = 0
+    for name, seed in _identity_seeds():
+        for ident, lhs, rhs in lifted_relation_identities(seed):
+            assert parse_identity(f"{lhs} = {rhs}") == (lhs, rhs), f"{name} {ident}"
+            count += 1
+    assert count == 85

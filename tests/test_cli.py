@@ -98,6 +98,26 @@ class TestTableBudget:
         assert (code, out) == (2, "")
         assert err == "error: a 4186x4095 exchange matrix is past the budget of 16777216 table entries\n"
 
+    def test_verify_sample_above_budget(self, tmp_path, capsys):
+        # each kept 4097 x 4097 sample would take about 64 MiB
+        f = tmp_path / "one.txt"
+        f.write_text("D{1|2} = D{1|2}\n")
+        code, out, err = _run_small(
+            capsys, "verify", "--file", str(f), "--n", "4097", "--cell-word", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: a 4097x4097 sample matrix is past the budget of 16777216 table entries\n"
+
+    def test_sample_size_at_budget(self):
+        from cellseed import MinorSpec, Word, oracle
+
+        built = oracle._sample.cache_info().misses
+        # D{2|2} has no t-coefficient for letter 1, so no sample is built
+        assert oracle.sampled_multidegree(MinorSpec((2,), (2,)), [1], 4096, Word((1,))) == {1: 0}
+        assert oracle._sample.cache_info().misses == built
+        with pytest.raises(cellseed.CellSeedError, match="a 4097x4097 sample matrix"):
+            oracle.sampled_multidegree(MinorSpec((2,), (2,)), [1], 4097, Word((1,)))
+
 
 class TestWords:
     def test_w0_parabolic(self, capsys):
@@ -871,3 +891,50 @@ def test_any_file_exits_cleanly(tmp_path, capsys):
         if not clean:
             bad.append((argv[0], path.read_text()[:200], code, err[:200]))
     assert bad == []
+
+
+def _reduced_word(rng, n):
+    """A random reduced word of S_n with up to 8 letters: each drawn letter is
+    kept when the word stays reduced."""
+    from cellseed.rootsys import LieType, Word, reduced_violation
+
+    letters = ()
+    for _ in range(rng.randint(0, 8) if n > 1 else 0):
+        longer = letters + (rng.randint(1, n - 1),)
+        if reduced_violation(LieType("A", n - 1), Word(longer)) is None:
+            letters = longer
+    return ",".join(map(str, letters))
+
+
+def test_reduced_cell_words_exit_cleanly(tmp_path, capsys, monkeypatch):
+    """``test_any_file_exits_cleanly`` for identity files on reduced cell
+    words, so that most cases get past the word checks to the parser."""
+    import cellseed.cli
+
+    calls = []
+    verify = cellseed.cli.verify_identity
+    monkeypatch.setattr(cellseed.cli, "verify_identity", lambda *a: calls.append(1) or verify(*a))
+    rng = random.Random(2025)
+    path = tmp_path / "case"
+    bad, reached = [], 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        path.write_text(_identity_text(rng, n))
+        argv = ["verify", "--file", str(path), "--n", str(n),
+                "--cell-word", _reduced_word(rng, n), "--samples", "3"]
+        calls.clear()
+        try:
+            code = main(argv)
+        except Exception as exc:  # reported with its input below
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        reached += bool(calls)
+        clean = (
+            code in (0, 1, 2)
+            and (code != 1 or out.splitlines()[-1:] == ["FAIL"])
+            and all(line.startswith("error:") for line in err.splitlines())
+        )
+        if not clean:
+            bad.append((argv[-3], path.read_text()[:200], code, err[:200]))
+    assert bad == []
+    assert reached >= 100, reached

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cellseed import MinorSpec, Word, parse_expr, parse_identity, verify_identity
+from cellseed import MinorExpr, MinorSpec, Word, parse_expr, parse_identity, verify_identity
 from cellseed.exprlang import MAX_TERM_DEGREE, ExprParseError
 from cellseed.fixtures import A5_WORD
 from cellseed.oracle import cell_sample
@@ -51,6 +53,23 @@ def test_render_round_trip():
     assert parse_expr(str(e)) == e
 
 
+def test_render_round_trip_property():
+    """Whatever ``str`` writes parses back to the same terms: zero and
+    negative coefficients, powers 0 to 3, and empty products."""
+    rng = random.Random(18)
+
+    def spec():
+        size = rng.randint(1, 3)
+        return MinorSpec(*(tuple(sorted(rng.sample(range(1, 7), size))) for _ in "rc"))
+
+    for _ in range(2000):
+        e = MinorExpr(tuple(
+            (rng.randint(-4, 4), tuple((spec(), rng.randint(0, 3)) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 4))
+        ))
+        assert parse_expr(str(e)) == e, str(e)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -61,6 +80,12 @@ def test_render_round_trip():
         "* D{1|2}",          # misplaced star
         "D{1|2} 3",          # coefficient after factors
         "Q{1|2}",            # unknown symbol
+        "2*",                # star with no factor after it
+        "D{1|2} *",
+        "D{1|2} * * D{1|3}",
+        "D{1|2} * + D{1|3}",
+        "+ - D{1|2}",        # a term has at most one sign
+        "+ + D{1|2}",
     ],
 )
 def test_parse_errors(bad):

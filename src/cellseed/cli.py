@@ -34,11 +34,11 @@ from .rootsys import (
     parse_subset,
 )
 from .seedcore import (
-    NonReducedWordError,
     Seed,
     initial_seed,
     mutate_seed,
     render_seed,
+    require_reduced,
     seed_from_json,
     seed_to_dict,
 )
@@ -221,11 +221,8 @@ def _verify_identities(args) -> tuple[int, Word, Iterable[fixtures.Identity]]:
         raise CellSeedError(f"{args.file} holds no identities")
     word = Word.parse(args.cell_word)
     if all(0 < i < args.n for i in word.letters):  # else the oracle names the letter
-        perm = list(range(max(word.letters, default=0) + 1))  # the prefix in one-line notation
-        for pos, i in enumerate(word.letters, start=1):
-            if perm[i - 1] > perm[i]:  # s_i shortens a prefix with an inversion at i
-                raise NonReducedWordError(word, pos)
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        # letters up to L generate the parabolic A_L of A_{n-1}, with the same lengths
+        require_reduced(LieType("A", max(word.letters, default=1)), word)
     return args.n, word, fixtures.numbered_identities(lines)
 
 

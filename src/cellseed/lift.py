@@ -449,8 +449,11 @@ def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
 def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     """Extension-row entries over J for the mutable column k.
 
-    Default convention alpha_j - beta_j reproduces the worked matrices; the
-    ``bhat_literal`` switch selects beta_j when nonzero, else -alpha_j.
+    Default convention alpha_j - beta_j reproduces the worked matrices; it is
+    deg L - deg M = -sum_i b_ik deg(x_i), the entry that makes the exchange
+    relation at k homogeneous with the unit minors.  The ``bhat_literal``
+    switch selects beta_j when nonzero, else -alpha_j; one of alpha_j and
+    beta_j is 0, so that is the negation of the default.
     """
     *_, alpha, beta = _relation_exponents(fs, k)
     if fs.bhat_literal:

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -51,10 +51,11 @@ _RANK_BOUNDS = {
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
-# Entries a dense integer table may have: rank x rank for a Cartan matrix,
-# positions x mutable positions for an initial exchange matrix, n x n for a
-# cell sample.  At 8 bytes a reference that is 128 MiB, checked before the
-# table is allocated.
+# Entries a dense integer table may have: rank x rank for a Cartan matrix (the
+# ``cartan`` output and the seed-file symmetrizer check) and for the
+# ``prefix_weights`` images, positions x mutable positions for an initial
+# exchange matrix, n x n for a cell sample.  At 8 bytes a reference that is
+# 128 MiB, checked before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
 # Lie types whose root supports are kept (the benchmark ladder has 21); each
 # holds at most four entries per vertex, not a dense Cartan matrix.
@@ -133,53 +134,27 @@ class CartanMatrix:
                 for j in range(n):
                     if i == j or self.entries[i][j] == 0:
                         continue
+                    if self.entries[j][i] == 0:  # d_i a[i][j] = d_j a[j][i] has no d > 0
+                        raise CellSeedError("matrix is not symmetrizable")
                     val = d[i] * Fraction(self.entries[i][j], self.entries[j][i])
                     if d[j] is None:
                         d[j] = val
                         stack.append(j)
                     elif d[j] != val:
                         raise CellSeedError("matrix is not symmetrizable")
-        denom_lcm = 1
-        for x in d:
-            denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in d]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        scale = lcm(*(x.denominator for x in d))
+        ints = [int(x * scale) for x in d]
+        g = gcd(*ints)
         return tuple(x // g for x in ints)
-
-
-def _chain(n: int) -> list[list[int]]:
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        a[i][i + 1] = -1
-        a[i + 1][i] = -1
-    return a
 
 
 def cartan_matrix(lie_type: LieType) -> CartanMatrix:
     """Cartan matrix in Bourbaki numbering; in B_n the short root is alpha_n."""
-    n = lie_type.rank
-    fam = lie_type.family
-    a = _chain(n)
-    if fam == "B":
-        a[n - 1][n - 2] = -2
-    elif fam == "C":
-        a[n - 2][n - 1] = -2
-    elif fam == "D":
-        a[n - 1][n - 2] = a[n - 2][n - 1] = 0
-        a[n - 1][n - 3] = a[n - 3][n - 1] = -1
-    elif fam == "E":
-        # node 2 hangs off node 4; the chain runs 1-3-4-5-...-n
-        for i, j in ((1, 2), (2, 3)):
-            a[i - 1][j - 1] = a[j - 1][i - 1] = 0
-        for i, j in ((1, 3), (3, 4), (2, 4)):
-            a[i - 1][j - 1] = a[j - 1][i - 1] = -1
-    elif fam == "F":
-        a[2][1] = -2
-    elif fam == "G":
-        a[0][1] = -3
-    return CartanMatrix(tuple(tuple(row) for row in a))
+    a = [[0] * lie_type.rank for _ in lie_type.vertices]
+    for i, support in enumerate(root_supports(lie_type)):
+        for l, x in support:
+            a[l][i] = x
+    return CartanMatrix(tuple(map(tuple, a)))
 
 
 @dataclass(frozen=True)
@@ -311,11 +286,23 @@ def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l)."""
-    cm = cartan_matrix(lie_type)
-    return tuple(
-        tuple((l, a) for l, a in enumerate(cm.column(i)) if a) for i in lie_type.vertices
-    )
+    """For each alpha_i, its nonzero coordinates (l, a[l][i]) (0-based l), read
+    off the Dynkin diagram in Bourbaki numbering."""
+    n, fam = lie_type.rank, lie_type.family
+    edges = [(i, i + 1) for i in range(1, n)]
+    if fam == "D":
+        edges[-1] = (n - 2, n)
+    elif fam == "E":  # node 2 hangs off node 4; the chain runs 1-3-4-5-...-n
+        edges[:3] = [(1, 3), (3, 4), (2, 4)]
+    cols = [{i: 2} for i in range(n)]
+    for i, j in edges:
+        cols[i - 1][j - 1] = cols[j - 1][i - 1] = -1
+    # the one multiple bond: (row l, column i, a[l][i]), 1-based
+    bond = {"B": (n, n - 1, -2), "C": (n - 1, n, -2), "F": (3, 2, -2), "G": (1, 2, -3)}
+    if fam in bond:
+        l, i, a = bond[fam]
+        cols[i - 1][l - 1] = a
+    return tuple(tuple(sorted(col.items())) for col in cols)
 
 
 def _reflect_in_place(supports, mu: list[int], i: int) -> None:

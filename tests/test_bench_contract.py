@@ -3,6 +3,7 @@ against recorded references; both must keep holding."""
 
 import importlib.util
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,22 @@ def test_identity_texts_parse_back():
             assert parse_identity(f"{lhs} = {rhs}") == (lhs, rhs), f"{name} {ident}"
             count += 1
     assert count == 85
+
+
+def test_readme_command_list_is_the_benchmark_list():
+    """The README's command-line block is the list cli-readme replays, so a
+    README command cannot change without the benchmark's copy."""
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.strip().splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "cellseed", line
+        argv = [workloads.IDENTITY_FILE if a == "identities.txt" else a for a in argv]
+        if argv[-1] == "[--bhat-literal]":
+            commands.append(argv[:-1])
+            argv[-1] = "--bhat-literal"
+        commands.append(argv)
+    want = workloads.README_COMMANDS + [workloads.INTERACTIVE[0]]
+    assert len(commands) == 13
+    assert sorted(commands) == sorted(want)

@@ -469,18 +469,32 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    def test_reducedness_needs_no_cartan_table(self, tmp_path):
-        # n - 1 is past the Cartan budget of LieType; the word is read as a permutation
+    def test_reducedness_needs_no_cartan_table(self, tmp_path, capsys):
+        # n = 4096 is the largest size verify accepts; the check reads root supports only
         from cellseed.cli import _verify_identities, build_parser
+        from cellseed.rootsys import root_supports
         from cellseed.seedcore import NonReducedWordError
 
         f = tmp_path / "one.txt"
         f.write_text("D{1|2} = 0\n")
-        argv = ["verify", "--file", str(f), "--n", "5000", "--cell-word"]
-        n, word, _ = _verify_identities(build_parser().parse_args(argv + ["4999,4998,4999"]))
-        assert (n, word.letters) == (5000, (4999, 4998, 4999))
-        with pytest.raises(NonReducedWordError, match="length drops at letter 4"):
-            _verify_identities(build_parser().parse_args(argv + ["4999,4998,4999,4998"]))
+        argv = ["verify", "--file", str(f), "--n", "4096", "--cell-word"]
+        root_supports.cache_clear()
+        tracemalloc.start()
+        try:
+            n, word, _ = _verify_identities(build_parser().parse_args(argv + ["4095,4094,4095"]))
+            with pytest.raises(NonReducedWordError, match="length drops at letter 4"):
+                _verify_identities(build_parser().parse_args(argv + ["4095,4094,4095,4094"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (n, word.letters) == (4096, (4095, 4094, 4095))
+        assert peak < 16 << 20  # a dense 4095 x 4095 Cartan matrix takes about 257 MiB
+        # letters past n = 4096 are refused by the type budget, with exit 2
+        argv[4] = "5000"
+        with pytest.raises(cellseed.CellSeedError, match="past the budget of 16777216"):
+            _verify_identities(build_parser().parse_args(argv + ["4999,4998,4999"]))
+        code, out, err = run(capsys, *argv, "4999,4998,4999")
+        assert (code, out) == (2, "") and "past the budget of 16777216" in err
 
     def test_refusal_agrees_with_rootsys(self, tmp_path):
         from cellseed.cli import _verify_identities, build_parser

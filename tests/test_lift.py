@@ -269,6 +269,50 @@ class TestBhatColumn:
         fs = build_flag_seed(seed_a5_fixture)
         assert bhat_column(fs, 1) == (-1, 0)
 
+    def test_default_balances_degrees_and_literal_negates_it(self):
+        """The default column is -sum_i b_ik deg(x_i), the entry that makes the
+        exchange relation at k homogeneous with the unit minors, and the literal
+        column is its negation: on the ladder cells with three seeded 8-step
+        flag walks each, and on every J = {j} seed of the reduced words."""
+        from dataclasses import replace
+
+        from cellseed import ParabolicConfig, initial_seed
+
+        def check(fs):
+            width = len(fs.base.cfg.j_set)
+            literal = replace(fs, bhat_literal=True)
+            for k in fs.base.mutable_positions():
+                column = fs.base.matrix.column(k).items()
+                want = tuple(
+                    -sum(b * fs.degrees[i - 1].coeffs[r] for i, b in column) for r in range(width)
+                )
+                assert bhat_column(fs, k) == want, f"{fs.base.lie_type} k={k}"
+                assert bhat_column(literal, k) == tuple(-x for x in want)
+            return len(fs.base.mutable_positions())
+
+        columns = 0
+        for family, rank, js in LADDER:
+            start = build_flag_seed(_cell_seed(family, rank, js))
+            mutable = start.base.mutable_positions()
+            rng = random.Random(f"{family}{rank}")
+            columns += check(start)
+            for _ in range(3):
+                fs = start
+                for _ in range(8):
+                    try:
+                        fs = mutate_flag_seed(fs, rng.choice(mutable))
+                    except CellSeedError:
+                        break
+                    columns += check(fs)
+        for lt, word in reduced_words():
+            for j in lt.vertices:
+                try:
+                    fs = build_flag_seed(initial_seed(lt, ParabolicConfig.from_j(lt, (j,)), word))
+                except LiftDegreeError:
+                    continue
+                columns += check(fs)
+        assert columns > 10_000
+
 
 class TestBuildFlagSeed:
     def test_b3_shape(self, seed_b3):

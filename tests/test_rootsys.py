@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,10 +32,12 @@ from cellseed.oracle import (
     word_permutation,
 )
 from cellseed.rootsys import (
+    CartanMatrix,
     _diagram_involution,
     _positive_root_count,
     is_reduced,
     reduced_violation,
+    root_supports,
 )
 from cellseed.seedcore import initial_seed
 
@@ -65,6 +68,67 @@ def cell_word_through_w0(lt, cfg):
             return Word(tuple(reversed(rev)))
         rev.append(i)
         mu = reflect(lt, i, mu)
+
+
+def dense_cartan(lt):
+    """Reference Cartan matrix, written densely: the A chain, then the family's
+    edits in Bourbaki numbering."""
+    n = lt.rank
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    if lt.family == "B":
+        a[n - 1][n - 2] = -2
+    elif lt.family == "C":
+        a[n - 2][n - 1] = -2
+    elif lt.family == "D":
+        a[n - 1][n - 2] = a[n - 2][n - 1] = 0
+        a[n - 1][n - 3] = a[n - 3][n - 1] = -1
+    elif lt.family == "E":
+        for i, j in ((1, 2), (2, 3)):
+            a[i - 1][j - 1] = a[j - 1][i - 1] = 0
+        for i, j in ((1, 3), (3, 4), (2, 4)):
+            a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    elif lt.family == "F":
+        a[2][1] = -2
+    elif lt.family == "G":
+        a[0][1] = -3
+    return tuple(map(tuple, a))
+
+
+#: symmetrizers by family, d_i a[i][j] = d_j a[j][i] with the short roots at 1
+SYMMETRIZERS = {
+    "B": lambda n: (2,) * (n - 1) + (1,),
+    "C": lambda n: (1,) * (n - 1) + (2,),
+    "F": lambda n: (2, 2, 1, 1),
+    "G": lambda n: (1, 3),
+}
+
+
+class TestRootSupports:
+    """Root supports come straight off the Dynkin diagram; the Cartan matrix is
+    written out from them."""
+
+    @pytest.mark.parametrize("lt", types_up_to(30, 20, 20, 20), ids=str)
+    def test_equals_dense_construction(self, lt):
+        a = dense_cartan(lt)
+        assert cartan_matrix(lt).entries == a
+        assert root_supports(lt) == tuple(
+            tuple((l, a[l][i]) for l in range(lt.rank) if a[l][i]) for i in range(lt.rank)
+        )
+        want = SYMMETRIZERS.get(lt.family, lambda n: (1,) * n)(lt.rank)
+        assert cartan_matrix(lt).symmetrizers() == want
+
+    def test_large_rank_builds_no_dense_table(self):
+        # a dense 4095 x 4095 Cartan matrix takes about 257 MiB
+        lt = LieType("A", 4095)
+        root_supports.cache_clear()
+        tracemalloc.start()
+        try:
+            supports = root_supports(lt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert supports[0] == ((0, 2), (1, -1)) and supports[-1] == ((4093, -1), (4094, 2))
 
 
 class TestCartan:
@@ -100,6 +164,14 @@ class TestCartan:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert d[i - 1] * cm.entry(i, j) == d[j - 1] * cm.entry(j, i)
+
+    @pytest.mark.parametrize(
+        "entries", [((2, -1), (0, 2)), ((2, 0), (-1, 2)), ((2, 0, -1), (0, 2, 0), (0, 0, 2))]
+    )
+    def test_one_sided_bond_is_not_symmetrizable(self, entries):
+        # a[i][j] != 0 with a[j][i] = 0: no positive d has d_i a[i][j] = d_j a[j][i]
+        with pytest.raises(CellSeedError, match="matrix is not symmetrizable"):
+            CartanMatrix(entries).symmetrizers()
 
     def test_parse_roundtrip(self):
         assert str(LieType.parse("b3")) == "B3"

@@ -71,7 +71,7 @@ def lifted_relation_identities(seed: Seed) -> tuple[Identity, ...]:
     fs = build_flag_seed(seed)
     out = []
     for k in seed.mutable_positions():
-        lhs = restricted_to_expr(project(lift_relation(fs, k)))
+        lhs = restricted_to_expr(m.factors for m in project(lift_relation(fs, k)).terms)
         terms = []
         for support in seed.matrix.binomial_supports(k):
             factors = []

@@ -120,32 +120,36 @@ class MinorSymbol:
     """A generalized-minor symbol, identified by its fundamental index and weight.
 
     The generating word is retained for display but ignored by equality; two
-    words with the same extremal weight name the same function.
+    words with the same extremal weight name the same function.  The flag
+    minor prints with Δ, its restriction to the cell with D.
     """
 
     fund: int
     weight: WeightVec
-    word: Optional[Word] = field(default=None, compare=False)
-    kind: str = "flag"  # "flag" for Delta, "restricted" for D
+    word: Word = field(compare=False)
 
     def sort_key(self):
-        return (self.kind, self.fund, self.weight.coeffs)
+        return (self.fund, self.weight.coeffs)
 
     def is_unit(self) -> bool:
         c = self.weight.coeffs
         return 0 < self.fund <= len(c) and c[self.fund - 1] == 1 and c.count(0) == len(c) - 1
 
-    def __str__(self) -> str:
-        letter = "D" if self.kind == "restricted" else "Δ"
+    def render(self, letter: str = "Δ") -> str:
         if self.is_unit():
             return f"{letter}{{w{self.fund}}}"
-        if self.word is not None:
-            return f"{letter}{{w{self.fund},({self.word})}}"
-        return f"{letter}{{w{self.fund},{self.weight}}}"
+        return f"{letter}{{w{self.fund},({self.word})}}"
+
+    __str__ = render
 
 
 def _symbol_order(item: tuple[MinorSymbol, int]):
     return item[0].sort_key()
+
+
+def _product(factors: Iterable[tuple[str, int]]) -> str:
+    """Factors f^e joined by ·, the power left out when 1; the empty product is 1."""
+    return "·".join(f + (f"^{e}" if e > 1 else "") for f, e in factors) or "1"
 
 
 def _sorted_powers(raw: dict) -> tuple:
@@ -211,16 +215,11 @@ class LiftMonomial:
         return LiftMonomial.product(self.degree.js, ((self, e),))
 
     def __str__(self) -> str:
-        factors = []
-        for sym, e in self.num:
-            factors.append(str(sym) + (f"^{e}" if e > 1 else ""))
-        for j, e in self.unit:
-            factors.append(f"Δ{{w{j}}}" + (f"^{e}" if e > 1 else ""))
-        head = "·".join(factors) if factors else "1"
+        units = [(f"Δ{{w{j}}}", e) for j, e in self.unit]
+        head = _product([(str(sym), e) for sym, e in self.num] + units)
         if not self.den:
             return head
-        dens = [f"Δ{{w{i}}}" + (f"^{e}" if e > 1 else "") for i, e in self.den]
-        return head + " / " + "·".join(dens)
+        return head + " / " + _product((f"Δ{{w{i}}}", e) for i, e in self.den)
 
 
 @dataclass(frozen=True)
@@ -489,16 +488,12 @@ def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
 
 @dataclass(frozen=True)
 class RestrictedMonomial:
-    """Product of restricted minors (an empty product renders as 1)."""
+    """Product of restricted minors, the lift's symbols printed with D."""
 
     factors: tuple[tuple[MinorSymbol, int], ...]
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "·".join(
-            str(sym) + (f"^{e}" if e > 1 else "") for sym, e in self.factors
-        )
+        return _product((sym.render("D"), e) for sym, e in self.factors)
 
 
 @dataclass(frozen=True)
@@ -510,19 +505,11 @@ class RestrictedSum:
 
 
 def project(x: Union[LiftMonomial, LiftedRelation]) -> Union[RestrictedMonomial, RestrictedSum]:
-    """Set every unit minor to 1 and re-tag flag symbols as restricted minors."""
+    """Set every unit minor to 1; the other factors keep their symbols.  Every
+    num the package builds is sorted with distinct symbols, so nothing merges."""
     if isinstance(x, LiftedRelation):
         return RestrictedSum(tuple(project(t) for t in x.terms))
-    # Every num the package builds (``build``, ``product``, ``_lift``) is
-    # sorted by sort_key() with one kind, distinct symbols and positive
-    # powers.  Re-tagging every symbol keeps all three, so nothing merges.
-    return RestrictedMonomial(
-        tuple(
-            (MinorSymbol(sym.fund, sym.weight, sym.word, "restricted"), e)
-            for sym, e in x.num
-            if not sym.is_unit()
-        )
-    )
+    return RestrictedMonomial(tuple((sym, e) for sym, e in x.num if not sym.is_unit()))
 
 
 def flag_seed_to_dict(fs: FlagSeed) -> dict:
@@ -543,7 +530,7 @@ def lift_monomial_to_dict(m: LiftMonomial) -> dict:
             {
                 "i": sym.fund,
                 "weight": list(sym.weight.coeffs),
-                **({"word": list(sym.word.letters)} if sym.word is not None else {}),
+                "word": list(sym.word.letters),
                 "exp": e,
             }
             for sym, e in m.num

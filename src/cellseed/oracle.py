@@ -20,6 +20,9 @@ denominator, and two sides are equal when ln*rd == rn*ld; only a failing
 sample builds ``Fraction`` values for its report.  ``eval_minor`` on a
 ``Fraction`` matrix clears its row denominators and runs the same integer
 kernel.
+
+The module imports only ``rootsys``, so it shares no types with the lift
+layer it checks: a projected lift arrives as (symbol, power) factors.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, WeightVec, Word
-from .lift import MinorSymbol, RestrictedMonomial, RestrictedSum
 
 Mat = tuple[tuple[Fraction, ...], ...]
 #: integer columns of a sample, each as (denominator, numerators of rows 1..c)
@@ -178,8 +180,9 @@ def cols_from_weight(weight: WeightVec, i: int) -> tuple[int, ...]:
     return tuple(ones)
 
 
-def minor_spec_from_symbol(sym: MinorSymbol) -> MinorSpec:
-    """Minor of a restricted symbol; the weight alone determines the columns."""
+def minor_spec_from_symbol(sym) -> MinorSpec:
+    """Minor of a symbol with a fundamental index ``fund`` and a ``weight``;
+    the weight alone determines the columns."""
     return MinorSpec(
         tuple(range(1, sym.fund + 1)), cols_from_weight(sym.weight, sym.fund)
     )
@@ -353,15 +356,12 @@ class MinorExpr:
         return ("-" + out[3:]) if out[1:2] == "-" else (out[3:] or "0")
 
 
-def restricted_to_expr(x: Union[RestrictedMonomial, RestrictedSum]) -> MinorExpr:
-    """Formal minor expression of a projected lift."""
-    if isinstance(x, RestrictedSum):
-        terms = []
-        for mono in x.terms:
-            terms.extend(restricted_to_expr(mono).terms)
-        return MinorExpr(tuple(terms))
-    factors = tuple((minor_spec_from_symbol(sym), e) for sym, e in x.factors)
-    return MinorExpr(((1, factors),))
+def restricted_to_expr(terms: Iterable[Iterable[tuple[object, int]]]) -> MinorExpr:
+    """Formal minor expression of a projected lift, given as the (symbol,
+    power) factors of each term; each symbol is read by ``minor_spec_from_symbol``."""
+    return MinorExpr(
+        tuple((1, tuple((minor_spec_from_symbol(s), e) for s, e in t)) for t in terms)
+    )
 
 
 @dataclass(frozen=True)

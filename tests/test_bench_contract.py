@@ -36,7 +36,8 @@ def _load(name):
 
 tracing = _load("tracing")
 workloads = _load("workloads")
-WALK_REFERENCE = workloads.load_reference()["mutation-walk"]
+REFERENCE = workloads.load_reference()
+WALK_REFERENCE = REFERENCE["mutation-walk"]
 
 
 @pytest.mark.parametrize(
@@ -93,6 +94,25 @@ def test_every_walk_matches_reference(family, rank, js, kind):
         except CellSeedError as exc:
             got = workloads.raised_text(exc)
         assert got == WALK_REFERENCE[f"{name}/{kind}/{w}"], f"walk {w}"
+
+
+@pytest.mark.parametrize("name", ["lift-ladder", "oracle-exact"])
+def test_reference_ops_replay(name):
+    """Every recorded op of the workload, through its own class, gives its
+    recorded output byte for byte: the lift JSON and projection text of each
+    ladder cell, and each identity text and degree at sampling base 0."""
+    wl = workloads.WORKLOADS[name](REFERENCE[name])
+    ops = wl.universe()
+    assert sorted(wl.key(op) for op in ops) == sorted(REFERENCE[name])
+    mismatched = []
+    for op in ops:
+        try:
+            result, exc = wl.run(op), None
+        except CellSeedError as e:
+            result, exc = None, e
+        if not wl.check(op, result, exc, wl.expected(op)):
+            mismatched.append(wl.key(op))
+    assert mismatched == []
 
 
 def _identity_seeds():

@@ -354,7 +354,7 @@ class TestProject:
         assert isinstance(out, RestrictedMonomial)
         assert len(out.factors) == 1
         sym, e = out.factors[0]
-        assert (sym.kind, sym.fund, e) == ("restricted", 2, 1)
+        assert (sym.fund, e) == (2, 1) and sym is f1.num[0][0]
         assert str(out) == "D{w2,(1,2)}"
 
     def test_relation_k1(self, seed_b3):
@@ -394,12 +394,11 @@ class TestProject:
 
 
 def _merged_projection(mono):
-    """Projection by merging the re-tagged non-unit symbols in a dict, then sorting."""
+    """Projection by merging the non-unit symbols in a dict, then sorting."""
     factors = {}
     for sym, e in mono.num:
         if not sym.is_unit():
-            d = MinorSymbol(sym.fund, sym.weight, sym.word, "restricted")
-            factors[d] = factors.get(d, 0) + e
+            factors[sym] = factors.get(sym, 0) + e
     return RestrictedMonomial(tuple(sorted(factors.items(), key=lambda item: item[0].sort_key())))
 
 
@@ -608,7 +607,7 @@ class TestRelationFromParts:
             assert len(set(keys)) == len(keys)
         for lt, word in reduced_words():
             weights = prefix_weights(lt, word)
-            keys = [MinorSymbol(i, WeightVec(w)).sort_key() for i, w in zip(word, weights)]
+            keys = [MinorSymbol(i, WeightVec(w), Word(())).sort_key() for i, w in zip(word, weights)]
             assert len(set(keys)) == len(keys), f"{lt} {word}"
 
     def test_three_degrees_and_no_product(self, monkeypatch):

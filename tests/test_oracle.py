@@ -5,14 +5,19 @@ import pytest
 
 from cellseed import (
     CellSeedError,
+    LieType,
     MinorExpr,
     MinorSpec,
+    ParabolicConfig,
     Word,
     WeightVec,
     apply_word,
+    build_flag_seed,
     cell_sample,
+    cell_word,
     edagger_degree,
     eval_minor,
+    initial_seed,
     sampled_multidegree,
     verify_identity,
     weyl_minor_spec,
@@ -23,9 +28,11 @@ from cellseed.oracle import (
     _sample_minor,
     cols_from_weight,
     identity_matrix,
+    minor_spec_from_symbol,
     word_permutation,
 )
 from cellseed.fixtures import A5_WORD
+from conftest import LADDER
 
 
 def D(rows, cols):
@@ -68,6 +75,24 @@ class TestWeylMinorSpec:
             i = rng.randint(1, n)
             weight = apply_word(lt, word, WeightVec.fundamental(n, i))
             assert weyl_minor_spec(word, i, n).cols == cols_from_weight(weight, i)
+
+    def test_lift_symbols_name_their_seed_labels(self):
+        # a lift keeps the weight of its prefix, also when its word is stripped
+        # (i not in J), so the oracle reads the seed label's minor off it
+        positions = 0
+        for family, rank, js in LADDER:
+            if family != "A":
+                continue
+            lt = LieType(family, rank)
+            cfg = ParabolicConfig.from_j(lt, js)
+            seed = initial_seed(lt, cfg, cell_word(lt, cfg))
+            fs = build_flag_seed(seed)
+            for k in range(1, seed.size + 1):
+                label = seed.label(k)
+                want = weyl_minor_spec(label.prefix, label.fund, rank)
+                assert minor_spec_from_symbol(fs.lifts[k - 1].num[0][0]) == want, f"{lt} k={k}"
+                positions += 1
+        assert positions == 325
 
     def test_permutation_composition_order(self):
         # word (1,2) acts as s_1 after s_2

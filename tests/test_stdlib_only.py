@@ -43,7 +43,7 @@ LAYERS = {
     "rootsys": set(),
     "seedcore": {"rootsys"},
     "lift": {"rootsys", "seedcore"},
-    "oracle": {"rootsys", "lift"},
+    "oracle": {"rootsys"},
     "exprlang": {"rootsys", "oracle"},
     "fixtures": {"rootsys", "seedcore", "lift", "oracle", "exprlang"},
 }

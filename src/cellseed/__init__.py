@@ -48,7 +48,6 @@ from .lift import (
     lift_degree,
     lift_minor,
     lift_relation,
-    monomial_degree,
     mutate_flag_seed,
     project,
     strip_word,

@@ -173,8 +173,8 @@ def cmd_flagseed(args) -> int:
 
 def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
+        return Word.parse(text).letters
+    except CellSeedError as exc:
         raise CellSeedError(f"cannot parse mutation sequence {text!r}") from exc
 
 

@@ -152,67 +152,18 @@ def _product(factors: Iterable[tuple[str, int]]) -> str:
     return "·".join(f + (f"^{e}" if e > 1 else "") for f, e in factors) or "1"
 
 
-def _sorted_powers(raw: dict) -> tuple:
-    items = [(s, e) for s, e in raw.items() if e]
-    if any(e < 0 for _, e in items):
-        raise CellSeedError("negative exponent")
-    key = _symbol_order if items and isinstance(items[0][0], MinorSymbol) else None
-    return tuple(sorted(items, key=key))
-
-
 @dataclass(frozen=True)
 class LiftMonomial:
     """Product of flag-minor symbols, unit-minor powers and a unit denominator.
 
     ``degree`` is the declared multi-degree of the homogeneous element the
-    expression denotes; degrees add under multiplication.
+    expression denotes.
     """
 
     num: tuple[tuple[MinorSymbol, int], ...]
     unit: tuple[tuple[int, int], ...]
     den: tuple[tuple[int, int], ...]
     degree: MultiDegree
-
-    @classmethod
-    def build(cls, num: dict, unit: dict, den: dict, degree: MultiDegree) -> "LiftMonomial":
-        return cls(_sorted_powers(num), _sorted_powers(unit), _sorted_powers(den), degree)
-
-    @classmethod
-    def one(cls, js: Sequence[int]) -> "LiftMonomial":
-        return cls((), (), (), MultiDegree.zero(js))
-
-    @classmethod
-    def product(
-        cls, js: Sequence[int], powers: Iterable[tuple["LiftMonomial", int]]
-    ) -> "LiftMonomial":
-        """Product of ``m**e`` over ``powers``: the reference product behind
-        ``*`` and ``**``.  ``lift_relation`` builds its terms without it, and
-        acceptance criteria 3 and 7 and ``TestRelationFromParts`` check those
-        terms against it."""
-        js = tuple(js)
-        # a dict keeps the first instance of an equal key, so of a symbol
-        num: dict[MinorSymbol, int] = {}
-        unit: dict[int, int] = {}
-        den: dict[int, int] = {}
-        degree = [0] * len(js)
-        for mono, e in powers:
-            if e < 0:
-                raise CellSeedError("negative power")
-            if mono.degree.js != js:
-                raise CellSeedError("degrees over different J")
-            if not e:
-                continue
-            for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
-                for key, x in part:
-                    acc[key] = acc.get(key, 0) + e * x
-            degree = [a + e * c for a, c in zip(degree, mono.degree.coeffs)]
-        return cls.build(num, unit, den, MultiDegree(js, tuple(degree)))
-
-    def __mul__(self, other: "LiftMonomial") -> "LiftMonomial":
-        return LiftMonomial.product(self.degree.js, ((self, 1), (other, 1)))
-
-    def __pow__(self, e: int) -> "LiftMonomial":
-        return LiftMonomial.product(self.degree.js, ((self, e),))
 
     def __str__(self) -> str:
         units = [(f"Δ{{w{j}}}", e) for j, e in self.unit]
@@ -307,19 +258,6 @@ def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> 
     )
 
 
-def monomial_degree(
-    degrees: Sequence[MultiDegree], expo: Sequence[int]
-) -> MultiDegree:
-    """Degree of a monomial in the seed variables: sum of expo[k]*degrees[k]."""
-    if len(degrees) != len(expo):
-        raise CellSeedError("exponent vector length mismatch")
-    if any(e < 0 for e in expo):
-        raise CellSeedError("negative exponent")
-    js = degrees[0].js if degrees else ()
-    support = [(pos, e) for pos, e in enumerate(expo, start=1) if e]
-    return MultiDegree(js, _support_sum(degrees, support, len(js)))
-
-
 def _support_sum(
     degrees: Sequence[MultiDegree], support: list[tuple[int, int]], width: int
 ) -> tuple[int, ...]:
@@ -373,9 +311,6 @@ class FlagSeed:
 
     def degree(self, k: int) -> MultiDegree:
         return self.degrees[k - 1]
-
-    def extended_size(self) -> int:
-        return self.base.size + len(self.unit_frozen)
 
 
 def _require_minor(seed: Seed, k: int) -> None:
@@ -451,13 +386,12 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     Default convention alpha_j - beta_j reproduces the worked matrices; it is
     deg L - deg M = -sum_i b_ik deg(x_i), the entry that makes the exchange
     relation at k homogeneous with the unit minors.  The ``bhat_literal``
-    switch selects beta_j when nonzero, else -alpha_j; one of alpha_j and
-    beta_j is 0, so that is the negation of the default.
+    switch negates it, which selects beta_j when nonzero, else -alpha_j,
+    since one of alpha_j and beta_j is 0.
     """
     *_, alpha, beta = _relation_exponents(fs, k)
-    if fs.bhat_literal:
-        return tuple(b if b != 0 else -a for a, b in zip(alpha, beta))
-    return tuple(a - b for a, b in zip(alpha, beta))
+    sign = -1 if fs.bhat_literal else 1
+    return tuple(sign * (a - b) for a, b in zip(alpha, beta))
 
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:

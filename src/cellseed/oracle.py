@@ -41,11 +41,6 @@ Mat = tuple[tuple[Fraction, ...], ...]
 Columns = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def identity_matrix(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def _random_rational(rng: random.Random) -> tuple[int, int]:
     """Seeded nonzero rational as a lowest-terms (numerator, denominator) pair."""
     # small nonzero numerators/denominators keep determinant cost bounded

@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cellseed import (
+    CellSeedError,
     LieType,
+    LiftMonomial,
+    MultiDegree,
     ParabolicConfig,
     Word,
     cartan_matrix,
@@ -128,3 +132,62 @@ def reduced_words(count=260, seed=11):
         pos = reduced_violation(lt, word)
         out.append((lt, word if pos is None else word.prefix(pos - 1)))
     return out
+
+
+# References that the lift and oracle tests compare against.  They live here,
+# apart from ``cellseed.lift``: ``lift_relation`` builds each term straight
+# from a flag seed's lifts, and these build the same terms the general way.
+
+
+def monomial(num, unit, den, degree):
+    """The ``LiftMonomial`` with the powers in the dicts ``num`` (symbol to
+    power), ``unit`` and ``den`` (index to power): zero powers are dropped,
+    symbols sorted by ``sort_key()`` and indices by value."""
+
+    def powers(raw, key=None):
+        items = [(x, e) for x, e in raw.items() if e]
+        if any(e < 0 for _, e in items):
+            raise CellSeedError("negative exponent")
+        return tuple(sorted(items, key=key))
+
+    return LiftMonomial(
+        powers(num, key=lambda item: item[0].sort_key()), powers(unit), powers(den), degree
+    )
+
+
+def product(js, powers):
+    """The product of m**e over the (m, e) in ``powers``, each m graded over
+    ``js``; the empty product is 1.  Equal symbols merge into the first
+    instance, which keeps its word."""
+    js = tuple(js)
+    num, unit, den = {}, {}, {}
+    degree = MultiDegree.zero(js)
+    for mono, e in powers:
+        if e < 0:
+            raise CellSeedError("negative power")
+        if mono.degree.js != js:
+            raise CellSeedError("degrees over different J")
+        if not e:
+            continue
+        for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
+            for key, x in part:
+                acc[key] = acc.get(key, 0) + e * x
+        step = tuple(e * c for c in mono.degree.coeffs)
+        degree = degree + MultiDegree(js, step)
+    return monomial(num, unit, den, degree)
+
+
+def monomial_degree(degrees, expo):
+    """Degree of the seed monomial with exponent ``expo[k]`` at position k+1:
+    the sum of expo[k]*degrees[k]."""
+    assert len(degrees) == len(expo) and min(expo, default=0) >= 0
+    js = degrees[0].js if degrees else ()
+    total = MultiDegree.zero(js)
+    for d, e in zip(degrees, expo):
+        total = total + MultiDegree(js, tuple(e * c for c in d.coeffs))
+    return total
+
+
+def identity_matrix(n):
+    """The n x n identity as rows of ``Fraction``."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))

@@ -14,7 +14,6 @@ import pytest
 
 from cellseed import (
     LieType,
-    LiftMonomial,
     MinorSpec,
     MultiDegree,
     ParabolicConfig,
@@ -42,7 +41,7 @@ from cellseed.fixtures import A5_WORD, B3_WORD, load_seed
 from cellseed.lift import MinorSymbol
 from cellseed.oracle import MinorExpr
 
-from conftest import braid_moves, random_words
+from conftest import braid_moves, monomial, product, random_words
 from test_seedcore import _random_extended_matrix
 
 
@@ -90,7 +89,7 @@ def test_criterion_03_type_b_lifted_relations():
     fs = build_flag_seed(load_seed("b3"))
     rel1 = lift_relation(fs, 1)
     f = lift_minor(B3, CFG_B3, Word.parse("3,2"), 2)
-    other = LiftMonomial.build(
+    other = monomial(
         {_sym(B3, "3,2,1,3", 3): 1}, {3: 1}, {}, MultiDegree.fundamental((3,), 3, 2)
     )
     assert rel1.terms == (f, other)
@@ -99,9 +98,10 @@ def test_criterion_03_type_b_lifted_relations():
     rel2 = lift_relation(fs, 2)
     g = lift_minor(B3, CFG_B3, Word.parse("3,2,1"), 1)
     h = lift_minor(B3, CFG_B3, Word.parse("3,2,1,3,2"), 2)
-    sq_4 = LiftMonomial.build({_sym(B3, "3,2,1,3", 3): 2}, {}, {}, MultiDegree.fundamental((3,), 3, 2))
-    sq_1 = LiftMonomial.build({_sym(B3, "3", 3): 2}, {}, {}, MultiDegree.fundamental((3,), 3, 2))
-    assert rel2.terms == (sq_4 * g, sq_1 * h)
+    sq_4 = monomial({_sym(B3, "3,2,1,3", 3): 2}, {}, {}, MultiDegree.fundamental((3,), 3, 2))
+    sq_1 = monomial({_sym(B3, "3", 3): 2}, {}, {}, MultiDegree.fundamental((3,), 3, 2))
+    js = (3,)
+    assert rel2.terms == (product(js, [(sq_4, 1), (g, 1)]), product(js, [(sq_1, 1), (h, 1)]))
     assert (rel2.mu.coeffs, rel2.nu.coeffs) == ((0,), (0,))
     print("PASS criterion 3: type B lifted relations at k=1 and k=2 with (alpha,beta)")
 
@@ -109,7 +109,7 @@ def test_criterion_03_type_b_lifted_relations():
 def test_criterion_04_type_b_flag_seed():
     fs = build_flag_seed(load_seed("b3"))
     assert fs.extension_rows == ((-1, 0, 0),)
-    assert fs.extended_size() == 7
+    assert fs.base.size + len(fs.unit_frozen) == 7
     assert len(fs.unit_frozen) == 1 and fs.unit_frozen[0].fund == 3
     assert fs.unit_frozen[0].is_unit()
     print("PASS criterion 4: type B flag seed (row (-1,0,0); 7 variables incl. unit)")
@@ -131,7 +131,7 @@ def test_criterion_06_type_a_lifts():
     }
     for k, (word_text, i, j_star, d) in expected.items():
         got = lift_minor(A5, CFG_A5, A5_WORD.prefix(k), A5_WORD.letters[k - 1])
-        want = LiftMonomial.build(
+        want = monomial(
             {_sym(A5, word_text, i): 1},
             {j_star: d},
             {i: 1},
@@ -140,7 +140,7 @@ def test_criterion_06_type_a_lifts():
         assert got == want, f"f at position {k}"
     # f6 keeps the stripped word and the w3 unit factor
     f6 = lift_minor(A5, CFG_A5, A5_WORD.prefix(10), 2)
-    want6 = LiftMonomial.build(
+    want6 = monomial(
         {_sym(A5, "3,4,5,2,3,4,1,2", 2): 1}, {3: 1}, {2: 1},
         MultiDegree.fundamental((1, 3), 3, 1),
     )
@@ -159,11 +159,11 @@ def test_criterion_07_type_a_lifted_k1_relation():
     rel = lift_relation(fs, 1)
     f1 = lift_minor(A5, CFG_A5, Word.parse("1,2"), 2)
     f4 = lift_minor(A5, CFG_A5, Word.parse("1,2,3,4,5,2"), 2)
-    other = LiftMonomial.build(
+    other = monomial(
         {_sym(A5, "1,2,3,4,5,2,3,4,1", 1): 1}, {1: 1}, {},
         MultiDegree((1, 3), (2, 0)),
     )
-    assert rel.terms == (f1 * f4, other)
+    assert rel.terms == (product((1, 3), [(f1, 1), (f4, 1)]), other)
     assert bhat_column(fs, 1) == (-1, 0)
     print("PASS criterion 7: type A lifted k=1 relation f1*f4 + unit*minor; bhat (-1,0)")
 

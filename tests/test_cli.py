@@ -310,6 +310,17 @@ class TestMutate:
         assert out == ""
         assert err.startswith("error: cannot parse mutation sequence")
 
+    @pytest.mark.parametrize("seq", ["1,", "1,,2", ","])
+    def test_empty_sequence_item(self, capsys, seq):
+        code, out, err = run(capsys, "mutate", "--fixture", "b3", "--seq", seq)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse mutation sequence {seq!r}\n"
+
+    def test_empty_sequence_is_no_step(self, capsys):
+        code, out, _ = run(capsys, "mutate", "--fixture", "b3", "--seq", "")
+        assert code == 0
+        assert out == run(capsys, "seed", "--fixture", "b3")[1]
+
     def test_interactive_quit(self):
         proc = run_proc("mutate", *B3_ARGS, "--interactive", stdin="q\n")
         assert proc.returncode == 0

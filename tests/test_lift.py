@@ -18,7 +18,6 @@ from cellseed import (
     lift_degree,
     lift_minor,
     lift_relation,
-    monomial_degree,
     mutate_flag_seed,
     project,
     reflect,
@@ -27,7 +26,7 @@ from cellseed import (
 from cellseed.fixtures import A5_WORD, B3_WORD
 from cellseed.lift import RestrictedMonomial, RestrictedSum
 from cellseed.rootsys import prefix_weights
-from conftest import LADDER, reduced_words
+from conftest import LADDER, monomial, monomial_degree, product, reduced_words
 
 
 def deg(js, **kw):
@@ -107,14 +106,14 @@ class TestLiftDegree:
 class TestLiftMinor:
     def test_f1(self, a5, cfg_a5):
         got = lift_minor(a5, cfg_a5, Word.parse("1,2"), 2)
-        expect = LiftMonomial.build(
+        expect = monomial(
             {flag_symbol(a5, "1,2", 2): 1}, {1: 1}, {2: 1}, deg((1, 3), w1=1)
         )
         assert got == expect
 
     def test_f6_stripped(self, a5, cfg_a5):
         got = lift_minor(a5, cfg_a5, Word.parse("1,2,3,4,5,2,3,4,1,2"), 2)
-        expect = LiftMonomial.build(
+        expect = monomial(
             {flag_symbol(a5, "3,4,5,2,3,4,1,2", 2): 1},
             {3: 1},
             {2: 1},
@@ -126,7 +125,7 @@ class TestLiftMinor:
 
     def test_type_b_doubled_unit(self, b3, cfg_b3):
         got = lift_minor(b3, cfg_b3, Word.parse("3,2"), 2)
-        expect = LiftMonomial.build(
+        expect = monomial(
             {flag_symbol(b3, "3,2", 2): 1}, {3: 2}, {2: 1}, deg((3,), w3=2)
         )
         assert got == expect
@@ -211,7 +210,7 @@ class TestLiftRelation:
         rel = lift_relation(fs, 1)
         assert rel.mu == deg((3,)) and rel.nu == deg((3,), w3=1)
         f = lift_minor(b3, cfg_b3, Word.parse("3,2"), 2)
-        other = LiftMonomial.build(
+        other = monomial(
             {flag_symbol(b3, "3,2,1,3", 3): 1}, {3: 1}, {}, deg((3,), w3=2)
         )
         assert rel.terms == (f, other)
@@ -222,24 +221,27 @@ class TestLiftRelation:
         assert rel.mu == deg((3,)) and rel.nu == deg((3,))
         g = lift_minor(b3, cfg_b3, Word.parse("3,2,1"), 1)
         h = lift_minor(b3, cfg_b3, Word.parse("3,2,1,3,2"), 2)
-        sq = LiftMonomial.build(
+        sq = monomial(
             {flag_symbol(b3, "3,2,1,3", 3): 2}, {}, {}, deg((3,), w3=2)
         )
-        sq2 = LiftMonomial.build({flag_symbol(b3, "3", 3): 2}, {}, {}, deg((3,), w3=2))
-        assert rel.terms == (sq * g, sq2 * h)
+        sq2 = monomial({flag_symbol(b3, "3", 3): 2}, {}, {}, deg((3,), w3=2))
+        assert rel.terms == (
+            product((3,), [(sq, 1), (g, 1)]),
+            product((3,), [(sq2, 1), (h, 1)]),
+        )
 
     def test_a5_fixture_k1(self, a5, cfg_a5, seed_a5_fixture):
         fs = build_flag_seed(seed_a5_fixture)
         rel = lift_relation(fs, 1)
         f1 = lift_minor(a5, cfg_a5, Word.parse("1,2"), 2)
         f4 = lift_minor(a5, cfg_a5, Word.parse("1,2,3,4,5,2"), 2)
-        other = LiftMonomial.build(
+        other = monomial(
             {flag_symbol(a5, "1,2,3,4,5,2,3,4,1", 1): 1},
             {1: 1},
             {},
             deg((1, 3), w1=2),
         )
-        assert rel.terms == (f1 * f4, other)
+        assert rel.terms == (product((1, 3), [(f1, 1), (f4, 1)]), other)
         assert rel.mu == deg((1, 3)) and rel.nu == deg((1, 3), w1=1)
 
     def test_balance_and_coprimality(self, seed_b3, seed_a5, seed_a5_fixture):
@@ -317,13 +319,13 @@ class TestBhatColumn:
 class TestBuildFlagSeed:
     def test_b3_shape(self, seed_b3):
         fs = build_flag_seed(seed_b3)
-        assert fs.extended_size() == 7
+        assert fs.base.size + len(fs.unit_frozen) == 7
         assert [s.fund for s in fs.unit_frozen] == [3]
         assert fs.extension_rows == ((-1, 0, 0),)
 
     def test_a5_shape(self, seed_a5_fixture):
         fs = build_flag_seed(seed_a5_fixture)
-        assert fs.extended_size() == 13
+        assert fs.base.size + len(fs.unit_frozen) == 13
         assert [s.fund for s in fs.unit_frozen] == [1, 3]
 
     def test_fields_are_seed_degrees_and_lifts(self):
@@ -364,7 +366,7 @@ class TestProject:
         assert str(out) == "D{w2,(3,2)} + D{w3,(3,2,1,3)}"
 
     def test_unit_projects_to_one(self):
-        assert str(project(LiftMonomial.one((1, 3)))) == "1"
+        assert str(project(product((1, 3), []))) == "1"
 
     def test_round_trip_all_initial_variables(self, a5, cfg_a5, b3, cfg_b3):
         # project then re-lift reproduces the lift on every initial variable
@@ -513,7 +515,7 @@ class TestCachedLifts:
 
 
 def _product_relation(fs, k):
-    """The lifted relation at k as one ``LiftMonomial.product`` per term, the
+    """The lifted relation at k as one reference ``product`` per term, the
     unit powers given as a unit monomial."""
     from cellseed.lift import LiftedRelation
 
@@ -532,7 +534,7 @@ def _product_relation(fs, k):
     top = MultiDegree(js, tuple(map(max, d_m.coeffs, d_l.coeffs)))
     alpha, beta = top - d_m, top - d_l
     terms = tuple(
-        LiftMonomial.product(
+        product(
             js,
             [(fs.lifts[pos - 1], e) for pos, e in sup]
             + [(LiftMonomial((), tuple((j, x) for j, x in zip(js, u.coeffs) if x), (), u), 1)],
@@ -620,11 +622,7 @@ class TestRelationFromParts:
             degrees += 1
             post_init(self)
 
-        def no_product(cls, js, powers):
-            raise AssertionError("LiftMonomial.product called")
-
         monkeypatch.setattr(MultiDegree, "__post_init__", counting)
-        monkeypatch.setattr(LiftMonomial, "product", classmethod(no_product))
         for k in fs.base.mutable_positions():
             degrees = 0
             rel = lift_relation(fs, k)
@@ -708,13 +706,13 @@ def test_product_matches_repeated_multiplication(seed_b3, seed_a5):
         rng = random.Random(5)
         for _ in range(20):
             picks = [(rng.choice(lifts), rng.randint(0, 2)) for _ in range(4)]
-            slow = LiftMonomial.one(js)
+            slow = product(js, [])
             for mono, e in picks:
                 for _ in range(e):
-                    slow = slow * mono
-            fast = LiftMonomial.product(js, picks)
+                    slow = product(js, [(slow, 1), (mono, 1)])
+            fast = product(js, picks)
             assert fast == slow and str(fast) == str(slow)
-        assert lifts[0] ** 0 == LiftMonomial.one(js)
+        assert product(js, [(lifts[0], 0)]) == product(js, [])
 
 
 def test_product_keeps_first_word(a5):
@@ -725,5 +723,16 @@ def test_product_keeps_first_word(a5):
     m1 = LiftMonomial(((first, 1),), (), (), deg(js, w1=1))
     m2 = LiftMonomial(((second, 2),), (), (), deg(js, w1=2))
     for powers, word in (([(m1, 2), (m2, 1)], first.word), ([(m2, 1), (m1, 2)], second.word)):
-        (sym, e), = LiftMonomial.product(js, powers).num
+        (sym, e), = product(js, powers).num
         assert e == 4 and sym.word == word
+
+
+def test_reference_refuses_negative_powers_and_other_j(a5):
+    m = monomial({flag_symbol(a5, "1", 1): 1}, {}, {}, deg((1, 3), w1=1))
+    for call, message in (
+        (lambda: monomial({}, {1: -1}, {}, deg((1, 3))), "negative exponent"),
+        (lambda: product((1, 3), [(m, -1)]), "negative power"),
+        (lambda: product((1,), [(m, 1)]), "different J"),
+    ):
+        with pytest.raises(CellSeedError, match=message):
+            call()

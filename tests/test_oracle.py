@@ -27,12 +27,11 @@ from cellseed.oracle import (
     _det,
     _sample_minor,
     cols_from_weight,
-    identity_matrix,
     minor_spec_from_symbol,
     word_permutation,
 )
 from cellseed.fixtures import A5_WORD
-from conftest import LADDER
+from conftest import LADDER, identity_matrix
 
 
 def D(rows, cols):

@@ -27,7 +27,6 @@ from cellseed.oracle import (
     MinorSpec,
     cols_from_weight,
     edagger_degree,
-    identity_matrix,
     weyl_minor_spec,
     word_permutation,
 )
@@ -41,7 +40,7 @@ from cellseed.rootsys import (
 )
 from cellseed.seedcore import initial_seed
 
-from conftest import braid_moves, positive_roots, random_words
+from conftest import braid_moves, identity_matrix, positive_roots, random_words
 
 
 def rho_image(lie_type, word):

@@ -1,6 +1,6 @@
 """The package imports nothing outside itself and the standard library, each
-layer imports only the layers below it and only their public names, and every
-memo has a bound."""
+layer imports only the layers below it and only their public names, every
+memo has a bound, and every function has a caller outside the tests."""
 
 import ast
 import sys
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellseed"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cellseed"
 
 
 def _imports(path):
@@ -153,3 +154,51 @@ def test_every_lru_cache_is_bounded():
     }
     assert found == {name: [] for name in found}
     assert "lru_cache" in (PACKAGE / "oracle.py").read_text()
+
+
+#: package functions that only tests call; the README gives each one's use
+TEST_ONLY = {
+    "coeff",
+    "degree_compare",
+    "entry",
+    "evaluate",
+    "lift_degree",
+    "max_B_words",
+    "pairing",
+    "seed_to_json",
+    "two_step_A_words",
+    "word_length",
+}
+
+
+def _defined_and_read(path):
+    """The functions a file defines, dunders aside, and every name it reads:
+    a name, an attribute or a string, since the benchmark wraps functions by
+    name.  An import alone reads nothing."""
+    defined, read = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("__"):
+                defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return defined, read
+
+
+def test_every_function_is_reached_outside_tests():
+    defined, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        names, seen = _defined_and_read(path)
+        defined |= names
+        read |= seen
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= _defined_and_read(path)[1]
+    assert sorted(defined - read - TEST_ONLY) == []
+    # a name that gained a caller leaves the set
+    assert sorted(TEST_ONLY - (defined - read)) == []
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(TEST_ONLY) if f"`{name}`" not in readme] == []

@@ -9,20 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from typing import Iterable, Optional
 
-from . import fixtures
-from .lift import (
-    bhat_column,
-    build_flag_seed,
-    flag_seed_to_dict,
-    lift_monomial_to_dict,
-    lift_relation,
-    position_lift,
-    project,
-    render_flag_seed,
-)
-from .oracle import verify_identity
+from .fixtures import FIXTURE_SEEDS, Identity, load_seed, numbered_identities, verify_fixture
 from .rootsys import (
     CellSeedError,
     LieType,
@@ -42,6 +32,27 @@ from .seedcore import (
     seed_from_json,
     seed_to_dict,
 )
+
+#: names from layers loaded on first use that commands call through this
+#: module's binding, so that a test or the benchmark's tracer can replace them
+_LAZY = {
+    "verify_identity": "oracle",
+    "render_flag_seed": "lift",
+    "flag_seed_to_dict": "lift",
+    "lift_monomial_to_dict": "lift",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+def _bound(name: str):
+    """This module's binding of ``name``, made on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -75,7 +86,7 @@ def _resolve_seed(args) -> Seed:
     if args.seed_file is not None:
         return seed_from_json(_read_text(args.seed_file))
     if args.fixture is not None:
-        return fixtures.load_seed(args.fixture)
+        return load_seed(args.fixture)
     lt = LieType.parse(args.type)
     if args.J is None:
         raise CellSeedError("--J is required with an explicit type")
@@ -133,12 +144,14 @@ def cmd_seed(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .lift import position_lift, project
+
     seed = _resolve_seed(args)
     k = args.k
     mono = position_lift(seed, k)
     _emit(
         args,
-        {"position": k, "lift": lift_monomial_to_dict(mono),
+        {"position": k, "lift": _bound("lift_monomial_to_dict")(mono),
          "projection": str(project(mono))},
         f"~{seed.label(k)} = {mono}   (degree {mono.degree})",
     )
@@ -146,6 +159,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_liftrel(args) -> int:
+    from .lift import bhat_column, build_flag_seed, lift_relation, project
+
     seed = _resolve_seed(args)
     fs = build_flag_seed(seed, bhat_literal=args.bhat_literal)
     rel = lift_relation(fs, args.k)
@@ -154,7 +169,7 @@ def cmd_liftrel(args) -> int:
         "k": rel.k,
         "mu": rel.mu.as_dict(),
         "nu": rel.nu.as_dict(),
-        "terms": [lift_monomial_to_dict(t) for t in rel.terms],
+        "terms": [_bound("lift_monomial_to_dict")(t) for t in rel.terms],
         "degree": rel.degree.as_dict(),
         "bhat_column": column,
         "projection": str(proj),
@@ -165,9 +180,11 @@ def cmd_liftrel(args) -> int:
 
 
 def cmd_flagseed(args) -> int:
+    from .lift import build_flag_seed
+
     seed = _resolve_seed(args)
     fs = build_flag_seed(seed, bhat_literal=args.bhat_literal)
-    _emit(args, flag_seed_to_dict(fs), render_flag_seed(fs))
+    _emit(args, _bound("flag_seed_to_dict")(fs), _bound("render_flag_seed")(fs))
     return 0
 
 
@@ -205,13 +222,13 @@ def cmd_mutate(args) -> int:
         print(render_seed(seed))
 
 
-def _verify_identities(args) -> tuple[int, Word, Iterable[fixtures.Identity]]:
+def _verify_identities(args) -> tuple[int, Word, Iterable[Identity]]:
     if args.fixture is not None and args.file is not None:
         raise CellSeedError("give either a fixture name or an expression file")
     if args.fixture is not None:
         if args.n is not None or args.cell_word is not None:
             raise CellSeedError("--n and --cell-word go only with an expression file")
-        return fixtures.verify_fixture(args.fixture)
+        return verify_fixture(args.fixture)
     if args.file is None:
         raise CellSeedError("give --fixture or an expression file")
     if args.n is None or args.cell_word is None:
@@ -223,11 +240,12 @@ def _verify_identities(args) -> tuple[int, Word, Iterable[fixtures.Identity]]:
     if all(0 < i < args.n for i in word.letters):  # else the oracle names the letter
         # letters up to L generate the parabolic A_L of A_{n-1}, with the same lengths
         require_reduced(LieType("A", max(word.letters, default=1)), word)
-    return args.n, word, fixtures.numbered_identities(lines)
+    return args.n, word, numbered_identities(lines)
 
 
 def cmd_verify(args) -> int:
     n, word, identities = _verify_identities(args)
+    verify_identity = _bound("verify_identity")
     results = [
         (name, verify_identity(lhs, rhs, n, word, args.samples, args.rng_seed))
         for name, lhs, rhs in identities
@@ -265,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     seedsrc.add_argument("--word", help="generating word, e.g. '3,2,1,3,2,3' (default: cell word)")
     seedsrc.add_argument("--seed-file", help="read the seed from a JSON file")
     seedsrc.add_argument(
-        "--fixture", choices=list(fixtures.FIXTURE_SEEDS), help="use a shipped example seed"
+        "--fixture", choices=list(FIXTURE_SEEDS), help="use a shipped example seed"
     )
 
     p = argparse.ArgumentParser(

@@ -8,13 +8,13 @@ an identity file's lines, parsing each when it is read.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .exprlang import parse_identity
-from .lift import build_flag_seed, lift_relation, project
-from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec
 from .rootsys import CellSeedError, Word
 from .seedcore import Seed, seed_from_json
+
+if TYPE_CHECKING:
+    from .oracle import MinorExpr
 
 FIXTURE_SEEDS = ("a5", "b3")
 
@@ -36,11 +36,13 @@ def load_seed(name: str) -> Seed:
     return seed_from_json(text)
 
 
-Identity = tuple[str, MinorExpr, MinorExpr]
+Identity = tuple[str, "MinorExpr", "MinorExpr"]
 
 
 def numbered_identities(lines: Iterable[str]) -> Iterator[Identity]:
     """("identity t", lhs, rhs) for the t-th line, parsed when it is read."""
+    from .exprlang import parse_identity
+
     for t, line in enumerate(lines, start=1):
         yield (f"identity {t}", *parse_identity(line))
 
@@ -67,6 +69,9 @@ def lifted_relation_identities(seed: Seed) -> tuple[Identity, ...]:
     (possibly stripped) words, the right side the seed labels, so equality is
     a genuine function identity rather than a symbol comparison.
     """
+    from .lift import build_flag_seed, lift_relation, project
+    from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec
+
     rank = seed.lie_type.rank
     fs = build_flag_seed(seed)
     out = []

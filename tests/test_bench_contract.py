@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-import cellseed.cli  # noqa: F401  (imports every layer module)
+# every module tracing.SPANS names, since tracing._resolve reads sys.modules
+import cellseed.cli  # noqa: F401
+import cellseed.exprlang  # noqa: F401
+import cellseed.lift  # noqa: F401
+import cellseed.oracle  # noqa: F401
+import cellseed.rootsys  # noqa: F401
+import cellseed.seedcore  # noqa: F401
 from cellseed import (
     CellSeedError,
     LieType,

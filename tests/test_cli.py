@@ -963,3 +963,78 @@ def test_reduced_cell_words_exit_cleanly(tmp_path, capsys, monkeypatch):
             bad.append((argv[-3], path.read_text()[:200], code, err[:200]))
     assert bad == []
     assert reached >= 100, reached
+
+
+#: in a fresh process, run one command and write the package modules it
+#: loaded to stderr
+LOADED_PROBE = (
+    "import sys\n"
+    "from cellseed.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(m for m in sys.modules if m.startswith('cellseed.')), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+NO_LIFT_OR_ORACLE = {"cellseed.lift", "cellseed.oracle", "cellseed.exprlang"}
+
+
+#: README commands, and the layers each must not load
+LAYERS_UNUSED = [
+    (("cartan", "B3"), NO_LIFT_OR_ORACLE),
+    (("w0", "B3", "--subset", "{1,2}"), NO_LIFT_OR_ORACLE),
+    (("cellword", "A5", "--J", "{1,3}"), NO_LIFT_OR_ORACLE),
+    (("seed", *B3_ARGS), NO_LIFT_OR_ORACLE),
+    (("mutate", *B3_ARGS, "--seq", "1,2,1"), NO_LIFT_OR_ORACLE),
+    (("mutate", "--fixture", "b3", "--interactive"), NO_LIFT_OR_ORACLE),
+    (("lift", *A5_ARGS, "--k", "10"), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("liftrel", "--fixture", "a5", "--k", "1"), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("flagseed", *B3_ARGS), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("verify", "--fixture", "minor-identities"), {"cellseed.lift"}),
+    (("verify", "--file", "perfbench/identities.txt", "--n", "6", "--cell-word", A5_ARGS[-1]),
+     {"cellseed.lift"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded", LAYERS_UNUSED, ids=[" ".join(argv) for argv, _ in LAYERS_UNUSED]
+)
+def test_command_loads_only_the_layers_it_runs(argv, unloaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv],
+        input="1\nq\n",
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert {"cellseed.rootsys", "cellseed.seedcore"} <= loaded
+    assert loaded & unloaded == set()
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("verify_identity", ("verify", "--fixture", "minor-identities")),
+        ("render_flag_seed", ("flagseed", *B3_ARGS)),
+        ("flag_seed_to_dict", ("flagseed", *B3_ARGS, "--json")),
+        ("lift_monomial_to_dict", ("lift", *A5_ARGS, "--k", "10", "--json")),
+        ("lift_monomial_to_dict", ("liftrel", "--fixture", "a5", "--k", "1", "--json")),
+        ("render_seed", ("seed", *B3_ARGS)),
+        ("seed_to_dict", ("seed", *B3_ARGS, "--json")),
+    ],
+)
+def test_commands_call_the_cli_binding(name, argv, monkeypatch):
+    """A name replaced on ``cellseed.cli``, as the benchmark's tracer does, is
+    the one its command calls, though cli imports the lift and oracle layers
+    only when a command first needs them."""
+    import importlib.util
+
+    spec = importlib.util.find_spec("cellseed.cli")
+    cli = importlib.util.module_from_spec(spec)  # a fresh import: nothing bound on use yet
+    spec.loader.exec_module(cli)
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert cli.main(list(argv)) == 0
+    assert calls

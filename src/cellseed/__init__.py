@@ -1,8 +1,8 @@
 """Cluster seeds of Schubert cells, their flag-variety lifts, and an exact
 type A oracle for checking minor identities on sampled unipotent matrices.
 
-``from cellseed import X`` gives any public class or function of a layer
-module.  A layer is imported when one of its names is first asked for, so a
+``from cellseed import X`` gives a submodule, or any public class or function
+of a layer module.  A layer is imported when one of its names is first asked for, so a
 command that never lifts or samples does not pay to load ``lift`` or
 ``oracle`` (PEP 562).
 """
@@ -16,7 +16,7 @@ _LAYERS = ("rootsys", "seedcore", "lift", "oracle", "exprlang")
 
 
 def __getattr__(name: str):
-    if name in _LAYERS:
+    if name in _LAYERS or name in ("cli", "fixtures"):  # a submodule: no layer scan
         return import_module(f"{__name__}.{name}")
     if not name.startswith("_"):
         for layer in _LAYERS:

@@ -53,11 +53,6 @@ class MultiDegree:
             raise CellSeedError("degree length mismatch")
 
     @classmethod
-    def zero(cls, js: Sequence[int]) -> "MultiDegree":
-        js = tuple(js)
-        return cls(js, (0,) * len(js))
-
-    @classmethod
     def fundamental(cls, js: Sequence[int], j: int, mult: int = 1) -> "MultiDegree":
         js = tuple(js)
         if j not in js:
@@ -73,10 +68,6 @@ class MultiDegree:
     def _check(self, other: "MultiDegree") -> None:
         if self.js != other.js:
             raise CellSeedError("degrees over different J")
-
-    def __add__(self, other: "MultiDegree") -> "MultiDegree":
-        self._check(other)
-        return MultiDegree(self.js, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "MultiDegree") -> "MultiDegree":
         self._check(other)

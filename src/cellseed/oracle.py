@@ -361,12 +361,13 @@ def restricted_to_expr(terms: Iterable[Iterable[tuple[object, int]]]) -> MinorEx
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """On a FAIL, the sample is ``cell_sample(n, cell_word, rng_seed + failed_index)``."""
+
     equal: bool
     samples: int
     failed_index: Optional[int] = None
     lhs_value: Optional[Fraction] = None
     rhs_value: Optional[Fraction] = None
-    counterexample: Optional[Mat] = None
 
     def __str__(self) -> str:
         if self.equal:
@@ -398,8 +399,5 @@ def verify_identity(
 
         (ln, ld), (rn, rd) = lhs._evaluate(minor), rhs._evaluate(minor)
         if ln * rd != rn * ld:
-            return VerifyReport(
-                False, samples, s, Fraction(ln, ld), Fraction(rn, rd),
-                cell_sample(n, cell_word, seed),
-            )
+            return VerifyReport(False, samples, s, Fraction(ln, ld), Fraction(rn, rd))
     return VerifyReport(True, samples)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -116,12 +115,10 @@ class CartanMatrix:
         """Entry a[i][j] with 1-based vertex indices."""
         return self.entries[i - 1][j - 1]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Simple root alpha_j written in the fundamental-weight basis."""
-        return tuple(row[j - 1] for row in self.entries)
-
     def symmetrizers(self) -> tuple[int, ...]:
         """Smallest positive integers d with d_i a[i][j] = d_j a[j][i]."""
+        from fractions import Fraction  # only here, so most commands never load it
+
         n = self.rank
         d: list[Optional[Fraction]] = [None] * n
         for start in range(n):
@@ -172,12 +169,6 @@ class WeightVec:
     def pairing(self, i: int) -> int:
         """<alpha_i^vee, self>."""
         return self.coeffs[i - 1]
-
-    def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, c: int) -> "WeightVec":
-        return WeightVec(tuple(c * x for x in self.coeffs))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"

@@ -44,7 +44,7 @@ def require_reduced(lie_type: LieType, word: Word) -> None:
 
 @dataclass(frozen=True)
 class SeedIndexData:
-    """Predecessor/successor positions and the support of a word.
+    """Predecessor/successor positions of a word.
 
     ``p[k-1]`` is the largest j < k with the same letter (None if absent),
     ``s[k-1]`` the smallest j > k (None if the letter never reoccurs).
@@ -52,7 +52,6 @@ class SeedIndexData:
 
     p: tuple[Optional[int], ...]
     s: tuple[Optional[int], ...]
-    support: tuple[int, ...]
 
     def frozen_positions(self) -> tuple[int, ...]:
         return tuple(k for k, sk in enumerate(self.s, start=1) if sk is None)
@@ -73,7 +72,7 @@ def successor_maps(word: Word) -> SeedIndexData:
             p[k - 1] = last[i]
             s[last[i] - 1] = k
         last[i] = k
-    return SeedIndexData(tuple(p), tuple(s), tuple(sorted(last)))
+    return SeedIndexData(tuple(p), tuple(s))
 
 
 @dataclass(frozen=True)
@@ -221,14 +220,6 @@ Label = Union[MinorLabel, MutationLabel]
 
 
 @dataclass(frozen=True)
-class SymbolicBinomial:
-    """Exponent vectors of the two exchange monomials M_k and L_k."""
-
-    m_expo: tuple[int, ...]
-    l_expo: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Seed:
     """A cell seed: its reduced word, exchange matrix and mutation history.
 
@@ -273,13 +264,14 @@ def initial_seed(lie_type: LieType, cfg: ParabolicConfig, word: Word) -> Seed:
     return Seed(lie_type, cfg, word, initial_matrix(lie_type, word))
 
 
-def exchange_binomial(seed: Seed, k: int) -> SymbolicBinomial:
-    """Exponents of M_k (entries b_{ik} > 0) and L_k (entries b_{ik} < 0)."""
+def exchange_binomial(seed: Seed, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exponent vectors (m_expo, l_expo) of the exchange monomials M_k
+    (entries b_{ik} > 0) and L_k (entries b_{ik} < 0)."""
     expos = ([0] * seed.size, [0] * seed.size)
     for expo, support in zip(expos, seed.matrix.binomial_supports(k)):
         for j, e in support:
             expo[j - 1] = e
-    return SymbolicBinomial(*map(tuple, expos))
+    return tuple(expos[0]), tuple(expos[1])
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:

@@ -161,7 +161,7 @@ def product(js, powers):
     instance, which keeps its word."""
     js = tuple(js)
     num, unit, den = {}, {}, {}
-    degree = MultiDegree.zero(js)
+    degree = (0,) * len(js)
     for mono, e in powers:
         if e < 0:
             raise CellSeedError("negative power")
@@ -172,9 +172,8 @@ def product(js, powers):
         for acc, part in ((num, mono.num), (unit, mono.unit), (den, mono.den)):
             for key, x in part:
                 acc[key] = acc.get(key, 0) + e * x
-        step = tuple(e * c for c in mono.degree.coeffs)
-        degree = degree + MultiDegree(js, step)
-    return monomial(num, unit, den, degree)
+        degree = tuple(a + e * c for a, c in zip(degree, mono.degree.coeffs))
+    return monomial(num, unit, den, MultiDegree(js, degree))
 
 
 def monomial_degree(degrees, expo):
@@ -182,10 +181,10 @@ def monomial_degree(degrees, expo):
     the sum of expo[k]*degrees[k]."""
     assert len(degrees) == len(expo) and min(expo, default=0) >= 0
     js = degrees[0].js if degrees else ()
-    total = MultiDegree.zero(js)
+    total = (0,) * len(js)
     for d, e in zip(degrees, expo):
-        total = total + MultiDegree(js, tuple(e * c for c in d.coeffs))
-    return total
+        total = tuple(a + e * c for a, c in zip(total, d.coeffs))
+    return MultiDegree(js, total)
 
 
 def identity_matrix(n):

@@ -374,6 +374,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_failure_builds_no_sample_matrix(self, tmp_path, capsys, monkeypatch):
+        # a FAIL line holds the sample index and both values; the n x n sample
+        # itself is rebuilt only on request, as cell_sample(n, word, rng_seed + index)
+        f = tmp_path / "bad.txt"
+        f.write_text("D{1|2} = 2 D{1|2}\n")
+        argv = ("verify", "--file", str(f), "--n", "1024", "--cell-word", "1", "--samples", "1")
+        want = run(capsys, *argv)
+        assert want[0] == 1 and "FAIL at sample 0" in want[1]
+
+        def refuse(*args):
+            raise AssertionError("a failing verify built its sample matrix")
+
+        monkeypatch.setattr("cellseed.oracle.cell_sample", refuse)
+        assert run(capsys, *argv) == want
+
     @pytest.mark.parametrize("line", ["D{0|1} = 0", "D{0|6} = 0"])
     def test_zero_index_rejected(self, tmp_path, capsys, line):
         # index 0 used to read the last row: a vacuous PASS or a bogus FAIL
@@ -965,29 +980,33 @@ def test_reduced_cell_words_exit_cleanly(tmp_path, capsys, monkeypatch):
     assert reached >= 100, reached
 
 
-#: in a fresh process, run one command and write the package modules it
-#: loaded to stderr
+#: in a fresh process, run one command and write the package modules and
+#: the exact-arithmetic modules it loaded to stderr
 LOADED_PROBE = (
     "import sys\n"
     "from cellseed.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(' '.join(m for m in sys.modules if m.startswith('cellseed.')), file=sys.stderr)\n"
+    "print(' '.join(m for m in sys.modules if m.startswith('cellseed.')"
+    " or m in ('fractions', 'decimal')), file=sys.stderr)\n"
     "raise SystemExit(code)\n"
 )
 NO_LIFT_OR_ORACLE = {"cellseed.lift", "cellseed.oracle", "cellseed.exprlang"}
+#: only the symmetrizers of a Cartan matrix (``cartan``, a seed file's check)
+#: and the oracle compute with ``Fraction``
+NO_FRACTION = {"fractions", "decimal"}
 
 
 #: README commands, and the layers each must not load
 LAYERS_UNUSED = [
     (("cartan", "B3"), NO_LIFT_OR_ORACLE),
-    (("w0", "B3", "--subset", "{1,2}"), NO_LIFT_OR_ORACLE),
-    (("cellword", "A5", "--J", "{1,3}"), NO_LIFT_OR_ORACLE),
-    (("seed", *B3_ARGS), NO_LIFT_OR_ORACLE),
-    (("mutate", *B3_ARGS, "--seq", "1,2,1"), NO_LIFT_OR_ORACLE),
+    (("w0", "B3", "--subset", "{1,2}"), NO_LIFT_OR_ORACLE | NO_FRACTION),
+    (("cellword", "A5", "--J", "{1,3}"), NO_LIFT_OR_ORACLE | NO_FRACTION),
+    (("seed", *B3_ARGS), NO_LIFT_OR_ORACLE | NO_FRACTION),
+    (("mutate", *B3_ARGS, "--seq", "1,2,1"), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("mutate", "--fixture", "b3", "--interactive"), NO_LIFT_OR_ORACLE),
-    (("lift", *A5_ARGS, "--k", "10"), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("lift", *A5_ARGS, "--k", "10"), {"cellseed.oracle", "cellseed.exprlang"} | NO_FRACTION),
     (("liftrel", "--fixture", "a5", "--k", "1"), {"cellseed.oracle", "cellseed.exprlang"}),
-    (("flagseed", *B3_ARGS), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("flagseed", *B3_ARGS), {"cellseed.oracle", "cellseed.exprlang"} | NO_FRACTION),
     (("verify", "--fixture", "minor-identities"), {"cellseed.lift"}),
     (("verify", "--file", "perfbench/identities.txt", "--n", "6", "--cell-word", A5_ARGS[-1]),
      {"cellseed.lift"}),

@@ -354,13 +354,19 @@ class TestVerifyIdentity:
         e = expr((1, ((D([1], [2]), 1),)))
         assert verify_identity(e, e, 6, A5_WORD, samples=5, rng_seed=0).equal
 
-    def test_detects_offset(self):
+    def test_detects_offset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a failing verify built its sample matrix")
+
+        # the report keeps no sample; this module's own cell_sample rebuilds it
+        monkeypatch.setattr("cellseed.oracle.cell_sample", refuse)
         e = expr((1, ((D([1], [2]), 1),)))
         shifted = expr((1, ((D([1], [2]), 1),)), (1, ()))
         report = verify_identity(e, shifted, 6, A5_WORD, samples=5, rng_seed=0)
         assert not report.equal
         assert report.failed_index == 0
-        assert report.counterexample is not None
+        mat = cell_sample(6, A5_WORD, 0 + report.failed_index)
+        assert e.evaluate(mat) != shifted.evaluate(mat)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_needs_a_sample(self, samples):
@@ -423,7 +429,7 @@ def _reference_verify(lhs, rhs, n, word, samples, rng_seed):
         mat = cell_sample(n, word, rng_seed + s)
         lv, rv = lhs.evaluate(mat), rhs.evaluate(mat)
         if lv != rv:
-            return VerifyReport(False, samples, s, lv, rv, mat)
+            return VerifyReport(False, samples, s, lv, rv)
     return VerifyReport(True, samples)
 
 
@@ -478,10 +484,8 @@ class TestColumnPath:
         lhs = expr((1, ((D([1], [2]), 2),)))
         rhs = expr((1, ((D([1], [2]), 1), (D([1], [2]), 1))), (-1, ((D([2], [3]), 1),)))
         report = verify_identity(lhs, rhs, 6, A5_WORD, samples=5, rng_seed=4)
-        mat = cell_sample(6, A5_WORD, 4)
-        assert report == VerifyReport(
-            False, 5, 0, lhs.evaluate(mat), rhs.evaluate(mat), mat
-        )
+        mat = cell_sample(6, A5_WORD, 4 + report.failed_index)
+        assert report == VerifyReport(False, 5, 0, lhs.evaluate(mat), rhs.evaluate(mat))
         assert report.lhs_value - report.rhs_value == eval_minor(D([2], [3]), mat) != 0
         assert type(report.lhs_value) is type(report.rhs_value) is Fraction
 
@@ -492,11 +496,13 @@ class TestColumnPath:
         for _ in range(10):
             word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
             lhs, rhs = _random_expr(rng, n), _random_expr(rng, n)
-            report = verify_identity(lhs, rhs, n, word, 4, rng.randrange(1 << 20))
+            rng_seed = rng.randrange(1 << 20)
+            report = verify_identity(lhs, rhs, n, word, 4, rng_seed)
             if not report.equal:
                 fails += 1
-                assert report.lhs_value == lhs.evaluate(report.counterexample)
-                assert report.rhs_value == rhs.evaluate(report.counterexample)
+                mat = cell_sample(n, word, rng_seed + report.failed_index)
+                assert report.lhs_value == lhs.evaluate(mat)
+                assert report.rhs_value == rhs.evaluate(mat)
         assert fails
 
     @pytest.mark.parametrize("rank", [1, 2, 4, 6, 9])

@@ -20,8 +20,8 @@ PUBLIC = {
     ],
     "seedcore": [
         "ExchangeMatrix", "MinorLabel", "MutationLabel", "NonReducedWordError", "Seed",
-        "SeedIndexData", "SymbolicBinomial", "exchange_binomial", "initial_matrix",
-        "initial_seed", "mutate_seed", "seed_from_json", "seed_to_json", "successor_maps",
+        "SeedIndexData", "exchange_binomial", "initial_matrix", "initial_seed",
+        "mutate_seed", "seed_from_json", "seed_to_json", "successor_maps",
     ],
     "lift": [
         "FlagSeed", "LiftDegreeError", "LiftMonomial", "LiftedRelation", "MinorSymbol",
@@ -54,7 +54,7 @@ def _fresh(code):
 
 def test_every_public_name_is_listed_once():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 55
+    assert len(names) == len(set(names)) == 54
 
 
 @pytest.mark.parametrize(
@@ -95,3 +95,17 @@ def test_layer_modules_import_from_the_package():
     )
     modules = ("cli", "exprlang", "fixtures", "lift", "oracle", "rootsys", "seedcore")
     assert _fresh(code) == [f"cellseed.{m}" for m in modules]
+
+
+FIXTURES_LOADED = ["cellseed", "cellseed.fixtures", "cellseed.rootsys", "cellseed.seedcore"]
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [("cli", sorted(FIXTURES_LOADED + ["cellseed.cli"])), ("fixtures", FIXTURES_LOADED)],
+    ids=["cli", "fixtures"],
+)
+def test_a_submodule_loads_only_the_layers_it_imports(module, loaded):
+    # a submodule name is returned as the submodule before any layer is
+    # searched for an attribute of that name
+    assert _fresh(f"import sys; from cellseed import {module}; {LOADED}") == loaded

@@ -47,7 +47,6 @@ class TestSuccessorMaps:
     def test_b3(self):
         data = successor_maps(B3_WORD)
         assert data.frozen_positions() == (3, 5, 6)
-        assert data.support == (1, 2, 3)
 
     def test_empty(self):
         data = successor_maps(Word(()))
@@ -157,20 +156,20 @@ class TestMutation:
 
 class TestExchangeBinomial:
     def test_b3_k1(self, seed_b3):
-        b = exchange_binomial(seed_b3, 1)
-        assert b.m_expo == (0, 1, 0, 0, 0, 0)
-        assert b.l_expo == (0, 0, 0, 1, 0, 0)
+        m_expo, l_expo = exchange_binomial(seed_b3, 1)
+        assert m_expo == (0, 1, 0, 0, 0, 0)
+        assert l_expo == (0, 0, 0, 1, 0, 0)
 
     def test_b3_k2(self, seed_b3):
-        b = exchange_binomial(seed_b3, 2)
-        assert b.m_expo == (0, 0, 1, 2, 0, 0)
-        assert b.l_expo == (2, 0, 0, 0, 1, 0)
+        m_expo, l_expo = exchange_binomial(seed_b3, 2)
+        assert m_expo == (0, 0, 1, 2, 0, 0)
+        assert l_expo == (2, 0, 0, 0, 1, 0)
 
     def test_disjoint_supports(self, seed_a5, seed_b3):
         for seed in (seed_a5, seed_b3):
             for k in seed.mutable_positions():
-                b = exchange_binomial(seed, k)
-                assert all(x == 0 or y == 0 for x, y in zip(b.m_expo, b.l_expo))
+                m_expo, l_expo = exchange_binomial(seed, k)
+                assert all(x == 0 or y == 0 for x, y in zip(m_expo, l_expo))
 
     def test_zero_column(self):
         m = ExchangeMatrix((1, 2), (1,), ((0,), (0,)))
@@ -179,8 +178,7 @@ class TestExchangeBinomial:
         from dataclasses import replace
 
         seed = replace(seed, matrix=m)
-        b = exchange_binomial(seed, 1)
-        assert b.m_expo == (0, 0) and b.l_expo == (0, 0)
+        assert exchange_binomial(seed, 1) == ((0, 0), (0, 0))
 
 
 def _random_extended_matrix(rng):
@@ -352,11 +350,11 @@ class TestSparseFill:
             for k in m.col_labels:
                 want = {j: m.entry(j, k) for j in m.row_labels if m.entry(j, k)}
                 assert m.column(k) == want
-                b = exchange_binomial(seed, k)
-                assert {j: e for j, e in enumerate(b.m_expo, 1) if e} == {
+                m_expo, l_expo = exchange_binomial(seed, k)
+                assert {j: e for j, e in enumerate(m_expo, 1) if e} == {
                     j: x for j, x in want.items() if x > 0
                 }
-                assert {j: e for j, e in enumerate(b.l_expo, 1) if e} == {
+                assert {j: e for j, e in enumerate(l_expo, 1) if e} == {
                     j: -x for j, x in want.items() if x < 0
                 }
 
@@ -421,3 +419,30 @@ def test_dict_round_trip_initial_and_mutated(family, rank, js):
     assert len(mutated.history) == 3
     for s in (seed, mutated):
         assert seed_from_dict(seed_to_dict(s)) == s
+
+
+class TestA5FiniteType:
+    """The a5 cell is of finite type (E6), so every matrix of its mutation
+    class has |b_ij b_ji| <= 3; for skew-symmetric ones, |b_ij| <= 1
+    (Fomin-Zelevinsky, Cluster algebras II, 2003).  See ROADMAP item 1."""
+
+    def test_printed_matrix_leaves_finite_type_after_one_mutation(self, seed_a5_fixture):
+        m = seed_a5_fixture.matrix.mutate(2)
+        assert {6, 7} <= set(m.col_labels)
+        assert (m.entry(6, 7), m.entry(7, 6)) == (-2, 2)
+
+    def test_formula_matrix_stays_within_finite_type(self, seed_a5):
+        seen, frontier = {seed_a5.matrix}, [seed_a5.matrix]
+        for _ in range(5):  # every matrix within 5 mutations
+            found = []
+            for m in frontier:
+                for k in m.col_labels:
+                    new = m.mutate(k)
+                    if new not in seen:
+                        seen.add(new)
+                        found.append(new)
+            frontier = found
+        assert len(seen) == 1104
+        for m in seen:
+            pp = m.principal_part()
+            assert all(abs(x * pp[b][a]) <= 1 for a, row in enumerate(pp) for b, x in enumerate(row))

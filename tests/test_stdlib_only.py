@@ -1,6 +1,7 @@
 """The package imports nothing outside itself and the standard library, each
 layer imports only the layers below it and only their public names, every
-memo has a bound, and every function has a caller outside the tests."""
+memo has a bound, and every function and class member has a reader outside
+the tests."""
 
 import ast
 import sys
@@ -202,3 +203,36 @@ def test_every_function_is_reached_outside_tests():
     assert sorted(TEST_ONLY - (defined - read)) == []
     readme = (ROOT / "README.md").read_text()
     assert [name for name in sorted(TEST_ONLY) if f"`{name}`" not in readme] == []
+
+
+def _members_and_attributes(path):
+    """Each (class, member) a file defines, dunders aside: methods, properties
+    and dataclass fields; and every attribute or string the file reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    members, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members.add((node.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.add((node.name, item.target.id))
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return {m for m in members if not m[1].startswith("__")}, read
+
+
+def test_every_class_member_is_read_outside_tests():
+    # ``x.name`` or a string reads a member; a bare name of the same spelling
+    # does not.  Operators are dunders, so this check cannot see them.
+    members, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        found, seen = _members_and_attributes(path)
+        if path.parent == PACKAGE:
+            members |= found
+        read |= seen
+    assert ("VerifyReport", "failed_index") in members
+    unread = sorted(f"{cls}.{name}" for cls, name in members if name not in read | TEST_ONLY)
+    assert unread == []

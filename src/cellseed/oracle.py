@@ -5,7 +5,11 @@ matrices, cells are sampled as products of elementary one-parameter matrices
 with seeded random rationals, and e-action degrees become degrees in t of
 translated minors.  Translating by x_j(t) changes one row or one column, so
 such a minor is affine in t and its degree is 1 exactly when one other minor
-is nonzero.
+is nonzero.  Every minor of the product is a polynomial in t with
+nonnegative integer coefficients (Lindström's lemma; Fomin–Zelevinsky,
+*Total positivity: tests and parametrizations*, 2000), so it vanishes
+identically exactly when it vanishes at t = (1, ..., 1).  A degree check
+reads that all-ones sample first, and random ones only for the rest.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
 Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
@@ -56,7 +60,7 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
 # A shuffled oracle-exact pass reads six cells' 20-sample verify bases (120
 # samples) between degree checks that draw fresh ones.  At 160 samples, about
 # 0.8 MiB with their minors by tracemalloc, a pass builds each verify sample
-# 1.9 times on average; 256 build each once, at a higher peak RSS.
+# 1.1 times on average; 256 build each once, at a higher peak RSS.
 _SAMPLE_MEMO = 160
 
 
@@ -76,15 +80,16 @@ def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
             raise CellSeedError(f"letter {i} out of range for size {n}")
 
 
-def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: int) -> Columns:
-    """Integer columns of ``cell_sample``, for arguments ``_check_cell`` accepts.
+def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: Optional[int]) -> Columns:
+    """Integer columns of ``cell_sample``, for arguments ``_check_cell`` accepts;
+    every t is 1 when ``rng_seed`` is None.
 
     The product is upper unitriangular, so column c is zero below row c.
     """
-    rng = random.Random(rng_seed)
+    rng = None if rng_seed is None else random.Random(rng_seed)
     cols = [(1, (0,) * c + (1,)) for c in range(n)]
     for i in letters:
-        tn, td = _random_rational(rng)
+        tn, td = (1, 1) if rng is None else _random_rational(rng)
         # right multiplication by x_i(t): column i+1 += t * column i, which
         # is zero below row i; a/da + t*b/db has denominator da*q
         (da, a), (db, b) = cols[i], cols[i - 1]
@@ -99,7 +104,7 @@ def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: int) -> Columns:
 
 
 @lru_cache(maxsize=_SAMPLE_MEMO)
-def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> tuple[Columns, dict]:
+def _sample(n: int, letters: tuple[int, ...], rng_seed: Optional[int]) -> tuple[Columns, dict]:
     """A sample's integer columns and the dict of its minor pairs taken so far."""
     return _sample_columns(n, letters, rng_seed), {}
 
@@ -196,7 +201,8 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
 
 
 def _sample_minor(
-    n: int, letters: tuple[int, ...], rng_seed: int, rows: tuple[int, ...], cols: tuple[int, ...]
+    n: int, letters: tuple[int, ...], rng_seed: Optional[int],
+    rows: tuple[int, ...], cols: tuple[int, ...],
 ) -> tuple[int, int]:
     """Minor of ``cell_sample`` from its integer columns, as an unreduced
     (numerator, positive denominator) pair; column c is 0 below row c."""
@@ -285,17 +291,21 @@ def sampled_multidegree(
     rng_seed: int = 0,
     side: str = "left",
 ) -> dict[int, int]:
-    """Per-index degree maximized over seeded cell samples.  A degree is never
-    above 1, so sample s is read only while some degree with a t-coefficient is 0."""
+    """Per-index degree maximized over seeded cell samples.  Each t-coefficient
+    is a minor with nonnegative coefficients in t (Lindström; Fomin–Zelevinsky
+    2000), so only the ``live`` js, whose t-coefficient is nonzero on the
+    all-ones sample, can have degree 1.  A degree is never above 1, so random
+    sample s is read only while some live degree is 0."""
     letters = cell_word.letters
     _check_cell(n, letters, samples)  # these errors come before any minor's
     moved = {j: _t_coefficient(spec, j, n, side) for j in js}
-    pending = [j for j, m in moved.items() if m is not None]
+    live = [j for j, m in moved.items() if m is not None and _sample_minor(n, letters, None, *m)[0]]
+    pending = live
     for seed in range(rng_seed, rng_seed + samples):
         if not pending:
             break
         pending = [j for j in pending if not _sample_minor(n, letters, seed, *moved[j])[0]]
-    return {j: int(m is not None and j not in pending) for j, m in moved.items()}
+    return {j: int(j in live and j not in pending) for j in moved}
 
 
 # ---------------------------------------------------------------------------

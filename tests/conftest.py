@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -190,3 +191,45 @@ def monomial_degree(degrees, expo):
 def identity_matrix(n):
     """The n x n identity as rows of ``Fraction``."""
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+# An exact reference for the oracle's samples: the word-order product
+# x_{i_1}(t_1)...x_{i_r}(t_r) with each entry a polynomial in t_1..t_r, kept as
+# a dict from exponent tuples to integer coefficients, and its minors by the
+# Leibniz expansion.
+
+
+def word_product_polys(n, letters):
+    """The n x n product x_{i_1}(t_1)...x_{i_r}(t_r) as rows of polynomials."""
+    one = (0,) * len(letters)
+    mat = [[{one: 1} if a == b else {} for b in range(n)] for a in range(n)]
+    for k, i in enumerate(letters):
+        # right multiplication by x_i(t_k) adds t_k times column i to column i+1
+        for row in mat:
+            for e, c in row[i - 1].items():
+                moved = e[:k] + (e[k] + 1,) + e[k + 1:]
+                row[i][moved] = row[i].get(moved, 0) + c
+    return mat
+
+
+def poly_minor(mat, rows, cols):
+    """The minor with 1-based ``rows`` and ``cols`` of a matrix of
+    polynomials, summed over the permutations of the columns; coefficients
+    that cancel to 0 are dropped."""
+    one, out = next(iter(mat[0][0])), {}
+    for perm in itertools.permutations(cols):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = {one: sign}
+        for r, c in zip(rows, perm):
+            factor = mat[r - 1][c - 1]
+            product = {}
+            for e1, c1 in term.items():
+                for e2, c2 in factor.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    product[e] = product.get(e, 0) + c1 * c2
+            term = product
+            if not term:
+                break
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}

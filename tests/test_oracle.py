@@ -31,7 +31,7 @@ from cellseed.oracle import (
     word_permutation,
 )
 from cellseed.fixtures import A5_WORD
-from conftest import LADDER, identity_matrix
+from conftest import LADDER, identity_matrix, poly_minor, word_product_polys
 
 
 def D(rows, cols):
@@ -423,6 +423,12 @@ def _reference_multidegree(spec, js, n, word, samples, rng_seed, side):
     return out
 
 
+def _all_ones(n, word):
+    """The word-order product at t = (1, ..., 1), from the polynomial reference."""
+    mat = word_product_polys(n, word.letters)
+    return tuple(tuple(Fraction(sum(p.values())) for p in row) for row in mat)
+
+
 def _reference_verify(lhs, rhs, n, word, samples, rng_seed):
     """Reference: both sides evaluated on the Fraction matrix of each sample."""
     for s in range(samples):
@@ -622,16 +628,16 @@ class TestLiftedRelationIdentities:
             assert report.equal, f"{name}: {report}"
 
 
-def _shuffled_pass(rng):
-    """One pass over A5-A8 as the benchmark worker runs it, shuffled: every
-    lifted-relation identity of a cell verified on that cell's one base, and
-    the sampled degrees of every variable, both sides on a fresh base.  An op
-    is a list of (check, args) calls."""
+def _shuffled_pass(rng, ranks=range(5, 9)):
+    """One pass over the A cells of ``ranks`` as the benchmark worker runs it,
+    shuffled: every lifted-relation identity of a cell verified on that
+    cell's one base, and the sampled degrees of every variable, both sides on
+    a fresh base.  An op is a list of (check, args) calls."""
     from cellseed import LieType, ParabolicConfig, cell_word, initial_seed
     from cellseed.fixtures import lifted_relation_identities
 
     ops = []
-    for rank in range(5, 9):
+    for rank in ranks:
         lt = LieType("A", rank)
         cfg = ParabolicConfig.from_j(lt, (1, rank // 2))
         seed = initial_seed(lt, cfg, cell_word(lt, cfg))
@@ -647,6 +653,23 @@ def _shuffled_pass(rng):
     return ops
 
 
+def _count_builds(monkeypatch):
+    """An empty memo, and the list of the (n, letters, rng_seed) of each
+    sample built from now on."""
+    from cellseed import oracle
+
+    built = []
+    columns = oracle._sample_columns
+
+    def counting(n, letters, rng_seed):
+        built.append((n, letters, rng_seed))
+        return columns(n, letters, rng_seed)
+
+    monkeypatch.setattr(oracle, "_sample_columns", counting)
+    oracle._sample.cache_clear()
+    return built
+
+
 class TestSampleMemo:
     """One memo of samples, each keeping the minor pairs taken on it."""
 
@@ -655,38 +678,45 @@ class TestSampleMemo:
 
         from cellseed import oracle
 
-        log, built, dets = [], [0], [0]
-        columns, sample_minor = oracle._sample_columns, oracle._sample_minor
-        int_det = oracle._int_det
-
-        def counting_columns(n, letters, rng_seed):
-            built[0] += 1
-            return columns(n, letters, rng_seed)
+        log, built, dets = [], _count_builds(monkeypatch), [0]
+        sample_minor, int_det = oracle._sample_minor, oracle._int_det
 
         def logging_minor(n, letters, rng_seed, rows, cols):
-            b, d = built[0], dets[0]
+            b, d = len(built), dets[0]
             pair = sample_minor(n, letters, rng_seed, rows, cols)
-            log.append(((n, letters, rng_seed), (rows, cols), built[0] > b, dets[0] > d))
+            log.append(((n, letters, rng_seed), (rows, cols), len(built) > b, dets[0] > d,
+                        call, pair[0]))
             return pair
 
         def counting_det(m):
             dets[0] += 1
             return int_det(m)
 
-        monkeypatch.setattr(oracle, "_sample_columns", counting_columns)
         monkeypatch.setattr(oracle, "_sample_minor", logging_minor)
         monkeypatch.setattr(oracle, "_int_det", counting_det)
-        oracle._sample.cache_clear()
-        rng = random.Random(15)
+        rng, call, degree_calls = random.Random(15), 0, set()
         # the second pass starts with the memo full of the first pass's samples
         for _ in range(2):
             for op in _shuffled_pass(rng):
                 for check, args in op:
+                    call += 1
+                    if check is sampled_multidegree:
+                        degree_calls.add(call)
                     assert getattr(check(*args), "equal", True)  # no FAIL, no cell_sample
+        # a degree check reads a random sample only for a t-coefficient that
+        # it read as nonzero on the all-ones sample before
+        live = set()
+        for key, pair, _, _, index, num in log:
+            if key[2] is None:
+                assert index in degree_calls
+                if num:
+                    live.add((index, pair))
+            elif index in degree_calls:
+                assert (index, pair) in live, (key, pair)
         # a sample is built again only after _SAMPLE_MEMO others were read
         # since its last read, and a minor pair is evaluated once per build
         model = OrderedDict()
-        for key, pair, was_built, was_evaluated in log:
+        for key, pair, was_built, was_evaluated, *_ in log:
             if key in model:
                 model.move_to_end(key)
             else:
@@ -697,34 +727,32 @@ class TestSampleMemo:
             assert was_evaluated == (pair not in model[key]), (key, pair)
             model[key].add(pair)
         samples = len({key for key, *_ in log})
-        builds = sum(entry[2] for entry in log)
         evaluations = sum(entry[3] for entry in log)
         # the memo holds what a pass reuses: few rebuilds, few evaluations
-        assert samples <= builds < 1.1 * samples
+        assert samples <= len(built) < 1.05 * samples
         assert dets[0] == evaluations < len(log) / 3
+
+    def test_benchmark_cells_rebuild_few_samples(self, monkeypatch):
+        # Over A5-A10 a pass reads six 20-sample verify bases (120 of the
+        # memo's 160 samples), so degree checks that read random samples for
+        # identically-zero t-coefficients push verify bases out of the memo:
+        # these two passes would build 840 samples for 700 distinct ones.
+        built = _count_builds(monkeypatch)
+        rng = random.Random(15)
+        for _ in range(2):
+            for op in _shuffled_pass(rng, range(5, 11)):
+                for check, args in op:
+                    check(*args)
+        assert len(built) < 1.1 * len(set(built))
 
 
 class TestLazyDegrees:
-    """``sampled_multidegree`` builds a sample only while a degree is pending."""
-
-    @staticmethod
-    def _count_builds(monkeypatch):
-        from cellseed import oracle
-
-        built = []
-        columns = oracle._sample_columns
-
-        def counting(n, letters, rng_seed):
-            built.append(rng_seed)
-            return columns(n, letters, rng_seed)
-
-        monkeypatch.setattr(oracle, "_sample_columns", counting)
-        oracle._sample.cache_clear()
-        return built
+    """``sampled_multidegree`` builds the all-ones sample only when some j has
+    a t-coefficient, and a random sample only while a live degree is pending."""
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_no_t_coefficient_builds_nothing(self, monkeypatch, side):
-        built = self._count_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         # rows 1..3 hold 1 and 2 (left), columns 1..3 hold 2 and 3 (right)
         spec, js = D([1, 2, 3], [1, 2, 3]), (1, 2)
         got = sampled_multidegree(spec, js, 6, A5_WORD, samples=5, rng_seed=3, side=side)
@@ -733,13 +761,14 @@ class TestLazyDegrees:
         assert got == {1: 0, 2: 0} == _reference_multidegree(spec, js, 6, A5_WORD, 5, 3, side)
 
     def test_degrees_of_one_on_the_first_sample_build_one(self, monkeypatch):
-        built = self._count_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         # the t-coefficients of D{1|2} at j=1 are D{2|2} (left) and D{1|1}
-        # (right), both 1; j=2 has none on either side
+        # (right), both 1; j=2 has none on either side.  Both sides read the
+        # all-ones sample, then the first random one.
         spec, js = D([1], [2]), (1, 2, 1)
         sides = ("left", "right")
         got = [sampled_multidegree(spec, js, 6, A5_WORD, 5, 40, side) for side in sides]
-        assert built == [40]
+        assert [key[2] for key in built] == [None, 40]
         for side, degrees in zip(sides, got):
             want = _reference_multidegree(spec, js, 6, A5_WORD, 5, 40, side)
             assert degrees == {1: 1, 2: 0} == want
@@ -748,8 +777,9 @@ class TestLazyDegrees:
     def test_samples_built_while_a_degree_is_pending(self, monkeypatch, rank):
         from cellseed import oracle
 
-        built = self._count_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         rng, n = random.Random(1500 + rank), rank + 1
+        dead = 0
         for _ in range(25):
             word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 2 * rank))))
             spec, side = _random_spec(rng, n), rng.choice(("left", "right"))
@@ -759,12 +789,17 @@ class TestLazyDegrees:
             oracle._sample.cache_clear()
             del built[:]
             got = sampled_multidegree(*args)
-            reads = list(built)
+            reads = [key[2] for key in built]
             assert got == _reference_multidegree(*args)
-            # sample s is read only while some j with a t-coefficient has
-            # degree 0 on samples 0..s-1
+            # the all-ones sample is read once some j has a t-coefficient, and
+            # random sample s only while some j whose t-coefficient is nonzero
+            # there has degree 0 on samples 0..s-1
             pending = {j for j in js if oracle._t_coefficient(spec, j, n, side)}
-            want = []
+            want = [None] if pending else []
+            ones = _all_ones(n, word)
+            live = {j for j in pending if edagger_degree(spec, j, ones, side)}
+            dead += len(pending - live)
+            pending = live
             for s in range(samples):
                 if not pending:
                     break
@@ -772,3 +807,51 @@ class TestLazyDegrees:
                 mat = cell_sample(n, word, base + s)
                 pending = {j for j in pending if not edagger_degree(spec, j, mat, side)}
             assert reads == want
+        assert dead > 0  # some t-coefficient vanished identically
+
+    @pytest.mark.parametrize(
+        "side, spec, dead, live",
+        [("left", D([1, 3], [3, 4]), 1, 3), ("right", D([1, 2], [2, 4]), 3, 1)],
+        ids=["left", "right"],
+    )
+    def test_identically_zero_t_coefficient_builds_no_random_sample(
+        self, monkeypatch, side, spec, dead, live
+    ):
+        built = _count_builds(monkeypatch)
+        # on x_1(a)x_2(b)x_3(c) the t-coefficient at ``dead`` is D{2,3|3,4}
+        # (left) or D{1,2|2,3} (right), b*c - b*c in both; the one at ``live``
+        # is a*b (left) or b*c (right)
+        word = Word((1, 2, 3))
+        assert sampled_multidegree(spec, (dead,), 4, word, 5, 7, side) == {dead: 0}
+        assert built == [(4, word.letters, None)]
+        js = (dead, live)
+        got = sampled_multidegree(spec, js, 4, word, 5, 7, side)
+        assert [key[2] for key in built] == [None, 7]
+        assert got == {dead: 0, live: 1} == _reference_multidegree(spec, js, 4, word, 5, 7, side)
+
+
+class TestAllOnesSample:
+    """Every minor of x_{i_1}(t_1)...x_{i_r}(t_r) is a polynomial in t with
+    nonnegative integer coefficients (Lindström's lemma), so it vanishes
+    identically exactly when the all-ones sample gives 0."""
+
+    def test_minors_of_random_words_in_a1_to_a4(self):
+        from itertools import combinations
+
+        rng = random.Random(24)
+        minors = zeros = 0
+        for _ in range(300):
+            rank = rng.randint(1, 4)
+            n, letters = rank + 1, tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+            mat = word_product_polys(n, letters)
+            for size in range(1, n + 1):
+                for rows in combinations(range(1, n + 1), size):
+                    for cols in combinations(range(1, n + 1), size):
+                        poly = poly_minor(mat, rows, cols)
+                        assert min(poly.values(), default=1) > 0, (letters, rows, cols)
+                        num, den = _sample_minor(n, letters, None, rows, cols)
+                        assert (num == 0) == (not poly), (letters, rows, cols)
+                        assert Fraction(num, den) == sum(poly.values())
+                        minors += 1
+                        zeros += not poly
+        assert 0 < zeros < minors

@@ -9,7 +9,7 @@ is nonzero.  Every minor of the product is a polynomial in t with
 nonnegative integer coefficients (Lindström's lemma; Fomin–Zelevinsky,
 *Total positivity: tests and parametrizations*, 2000), so it vanishes
 identically exactly when it vanishes at t = (1, ..., 1).  A degree check
-reads that all-ones sample first, and random ones only for the rest.
+reads that all-ones sample alone.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
 Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
@@ -58,9 +58,9 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
 
 # Samples kept by ``_sample``, each with the minor pairs already taken on it.
 # A shuffled oracle-exact pass reads six cells' 20-sample verify bases (120
-# samples) between degree checks that draw fresh ones.  At 160 samples, about
-# 0.8 MiB with their minors by tracemalloc, a pass builds each verify sample
-# 1.1 times on average; 256 build each once, at a higher peak RSS.
+# samples) plus one all-ones sample per cell for its degree checks.  At 160
+# samples, about 0.8 MiB with their minors by tracemalloc, a pass builds each
+# sample about once (1.004 times on average over five passes).
 _SAMPLE_MEMO = 160
 
 
@@ -291,21 +291,15 @@ def sampled_multidegree(
     rng_seed: int = 0,
     side: str = "left",
 ) -> dict[int, int]:
-    """Per-index degree maximized over seeded cell samples.  Each t-coefficient
-    is a minor with nonnegative coefficients in t (Lindström; Fomin–Zelevinsky
-    2000), so only the ``live`` js, whose t-coefficient is nonzero on the
-    all-ones sample, can have degree 1.  A degree is never above 1, so random
-    sample s is read only while some live degree is 0."""
+    """Per-index degree on the cell: 1 exactly when the t-coefficient exists
+    and is nonzero on the all-ones sample, an exact test (module docstring).
+    ``samples`` (still checked) and ``rng_seed`` draw nothing; they stay
+    because ``perfbench/workloads.py`` passes them positionally."""
     letters = cell_word.letters
     _check_cell(n, letters, samples)  # these errors come before any minor's
     moved = {j: _t_coefficient(spec, j, n, side) for j in js}
-    live = [j for j, m in moved.items() if m is not None and _sample_minor(n, letters, None, *m)[0]]
-    pending = live
-    for seed in range(rng_seed, rng_seed + samples):
-        if not pending:
-            break
-        pending = [j for j in pending if not _sample_minor(n, letters, seed, *moved[j])[0]]
-    return {j: int(j in live and j not in pending) for j in moved}
+    return {j: int(m is not None and _sample_minor(n, letters, None, *m)[0] != 0)
+            for j, m in moved.items()}
 
 
 # ---------------------------------------------------------------------------

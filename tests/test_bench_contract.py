@@ -121,6 +121,17 @@ def test_reference_ops_replay(name):
     assert mismatched == []
 
 
+@pytest.mark.parametrize("base", [1, (1 << 29) + 7])
+def test_degree_ops_do_not_depend_on_the_base(base):
+    """A benchmark pass draws a fresh sampling base for each degree op and
+    checks its output against the record made at base 0."""
+    wl = workloads.OracleExact(REFERENCE["oracle-exact"])
+    ops = [(kind, cell, item, base) for kind, cell, item, _ in wl.universe() if kind == "degree"]
+    assert len(ops) == 124
+    mismatched = [wl.key(op) for op in ops if not wl.check(op, wl.run(op), None, wl.expected(op))]
+    assert mismatched == []
+
+
 def _identity_seeds():
     yield "a5", load_seed("a5")
     for family, rank, js in workloads.ORACLE_CELLS:

@@ -5,11 +5,12 @@ matrices, cells are sampled as products of elementary one-parameter matrices
 with seeded random rationals, and e-action degrees become degrees in t of
 translated minors.  Translating by x_j(t) changes one row or one column, so
 such a minor is affine in t and its degree is 1 exactly when one other minor
-is nonzero.  Every minor of the product is a polynomial in t with
-nonnegative integer coefficients (Lindström's lemma; Fomin–Zelevinsky,
-*Total positivity: tests and parametrizations*, 2000), so it vanishes
-identically exactly when it vanishes at t = (1, ..., 1).  A degree check
-reads that all-ones sample alone.
+is nonzero.  Whether a minor on rows R and columns C vanishes identically
+needs no sample: by Cauchy–Binet it is a sum of monomials with coefficient +1,
+one per chain R = S_0, ..., S_r = C where step k keeps S or moves i_k in S to
+a free i_k + 1 (Lindström 1973; Gessel–Viennot 1985).  A walk that makes each
+move keeping it at or below C slot by slot stays at or above every chain, so
+it reaches C exactly when some chain does.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
 Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
@@ -57,10 +58,9 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
 
 
 # Samples kept by ``_sample``, each with the minor pairs already taken on it.
-# A shuffled oracle-exact pass reads six cells' 20-sample verify bases (120
-# samples) plus one all-ones sample per cell for its degree checks.  At 160
-# samples, about 0.8 MiB with their minors by tracemalloc, a pass builds each
-# sample about once (1.004 times on average over five passes).
+# A shuffled oracle-exact pass reads six cells' 20-sample verify bases, 120
+# samples.  At 160 samples, about 0.8 MiB with their minors by tracemalloc, a
+# pass builds each sample about once.
 _SAMPLE_MEMO = 160
 
 
@@ -80,16 +80,15 @@ def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
             raise CellSeedError(f"letter {i} out of range for size {n}")
 
 
-def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: Optional[int]) -> Columns:
-    """Integer columns of ``cell_sample``, for arguments ``_check_cell`` accepts;
-    every t is 1 when ``rng_seed`` is None.
+def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: int) -> Columns:
+    """Integer columns of ``cell_sample``, for arguments ``_check_cell`` accepts.
 
     The product is upper unitriangular, so column c is zero below row c.
     """
-    rng = None if rng_seed is None else random.Random(rng_seed)
+    rng = random.Random(rng_seed)
     cols = [(1, (0,) * c + (1,)) for c in range(n)]
     for i in letters:
-        tn, td = (1, 1) if rng is None else _random_rational(rng)
+        tn, td = _random_rational(rng)
         # right multiplication by x_i(t): column i+1 += t * column i, which
         # is zero below row i; a/da + t*b/db has denominator da*q
         (da, a), (db, b) = cols[i], cols[i - 1]
@@ -104,7 +103,7 @@ def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: Optional[int]) -
 
 
 @lru_cache(maxsize=_SAMPLE_MEMO)
-def _sample(n: int, letters: tuple[int, ...], rng_seed: Optional[int]) -> tuple[Columns, dict]:
+def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> tuple[Columns, dict]:
     """A sample's integer columns and the dict of its minor pairs taken so far."""
     return _sample_columns(n, letters, rng_seed), {}
 
@@ -201,7 +200,7 @@ def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
 
 
 def _sample_minor(
-    n: int, letters: tuple[int, ...], rng_seed: Optional[int],
+    n: int, letters: tuple[int, ...], rng_seed: int,
     rows: tuple[int, ...], cols: tuple[int, ...],
 ) -> tuple[int, int]:
     """Minor of ``cell_sample`` from its integer columns, as an unreduced
@@ -282,6 +281,18 @@ def _t_coefficient(
     return rows, tuple(j if c == j + 1 else c for c in cols)
 
 
+# An oracle-exact pass reads 206 distinct walks and the next pass reads them
+# again: without the memo its median op, a degree op, took 35% longer.
+@lru_cache(maxsize=256)
+def _minor_nonzero(letters: tuple[int, ...], rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
+    """Whether a minor of the word-order product is not identically 0 (module docstring)."""
+    slot = {r: k for k, r in enumerate(rows)}  # each row's sorted slot
+    for i in letters:
+        if i in slot and i + 1 not in slot and i < cols[slot[i]]:
+            slot[i + 1] = slot.pop(i)
+    return slot.keys() == set(cols)
+
+
 def sampled_multidegree(
     spec: MinorSpec,
     js: Sequence[int],
@@ -291,15 +302,13 @@ def sampled_multidegree(
     rng_seed: int = 0,
     side: str = "left",
 ) -> dict[int, int]:
-    """Per-index degree on the cell: 1 exactly when the t-coefficient exists
-    and is nonzero on the all-ones sample, an exact test (module docstring).
-    ``samples`` (still checked) and ``rng_seed`` draw nothing; they stay
-    because ``perfbench/workloads.py`` passes them positionally."""
+    """Per-index degree on the cell: 1 exactly when the t-coefficient exists and
+    the walk over the cell word finds it not identically 0, with no sample.  ``samples``
+    (still checked) and ``rng_seed`` draw nothing; ``perfbench/workloads.py`` passes them."""
     letters = cell_word.letters
     _check_cell(n, letters, samples)  # these errors come before any minor's
     moved = {j: _t_coefficient(spec, j, n, side) for j in js}
-    return {j: int(m is not None and _sample_minor(n, letters, None, *m)[0] != 0)
-            for j, m in moved.items()}
+    return {j: int(m is not None and _minor_nonzero(letters, *m)) for j, m in moved.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +26,22 @@ from cellseed import (
 from cellseed.oracle import (
     VerifyReport,
     _det,
+    _minor_nonzero,
     _sample_minor,
     cols_from_weight,
     minor_spec_from_symbol,
     word_permutation,
 )
-from cellseed.fixtures import A5_WORD
+from cellseed.fixtures import (
+    A5_WORD,
+    lifted_relation_identities,
+    numbered_identities,
+    verify_fixture,
+)
+from cellseed.rootsys import reduced_violation
 from conftest import LADDER, identity_matrix, poly_minor, word_product_polys
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def D(rows, cols):
@@ -670,6 +680,20 @@ def _count_builds(monkeypatch):
     return built
 
 
+def _count_dets(monkeypatch):
+    """The list of the orders of the integer determinants run from now on."""
+    from cellseed import oracle
+
+    dets, int_det = [], oracle._int_det
+
+    def counting(m):
+        dets.append(len(m))
+        return int_det(m)
+
+    monkeypatch.setattr(oracle, "_int_det", counting)
+    return dets
+
+
 class TestSampleMemo:
     """One memo of samples, each keeping the minor pairs taken on it."""
 
@@ -678,38 +702,31 @@ class TestSampleMemo:
 
         from cellseed import oracle
 
-        log, built, dets = [], _count_builds(monkeypatch), [0]
-        sample_minor, int_det = oracle._sample_minor, oracle._int_det
+        log, built, dets = [], _count_builds(monkeypatch), _count_dets(monkeypatch)
+        sample_minor = oracle._sample_minor
 
         def logging_minor(n, letters, rng_seed, rows, cols):
-            b, d = len(built), dets[0]
+            b, d = len(built), len(dets)
             pair = sample_minor(n, letters, rng_seed, rows, cols)
-            log.append(((n, letters, rng_seed), (rows, cols), len(built) > b, dets[0] > d, call))
+            log.append(((n, letters, rng_seed), (rows, cols), len(built) > b, len(dets) > d))
             return pair
 
-        def counting_det(m):
-            dets[0] += 1
-            return int_det(m)
-
         monkeypatch.setattr(oracle, "_sample_minor", logging_minor)
-        monkeypatch.setattr(oracle, "_int_det", counting_det)
-        rng, call, degree_calls = random.Random(15), 0, set()
+        rng = random.Random(15)
         # the second pass starts with the memo full of the first pass's samples
         for _ in range(2):
             for op in _shuffled_pass(rng):
                 for check, args in op:
-                    call += 1
-                    if check is sampled_multidegree:
-                        degree_calls.add(call)
+                    before = len(built), len(dets), len(log)
                     assert getattr(check(*args), "equal", True)  # no FAIL, no cell_sample
-        # a degree check reads the all-ones sample and nothing else, and a
-        # verify reads only its random samples
-        for key, pair, _, _, index in log:
-            assert (key[2] is None) == (index in degree_calls), (key, pair)
+                    # a degree check builds no sample, takes no minor of one
+                    # and runs no determinant
+                    if check is sampled_multidegree:
+                        assert (len(built), len(dets), len(log)) == before, args
         # a sample is built again only after _SAMPLE_MEMO others were read
         # since its last read, and a minor pair is evaluated once per build
         model = OrderedDict()
-        for key, pair, was_built, was_evaluated, *_ in log:
+        for key, pair, was_built, was_evaluated in log:
             if key in model:
                 model.move_to_end(key)
             else:
@@ -723,13 +740,13 @@ class TestSampleMemo:
         evaluations = sum(entry[3] for entry in log)
         # the memo holds what a pass reuses: few rebuilds, few evaluations
         assert samples <= len(built) < 1.05 * samples
-        assert dets[0] == evaluations < len(log) / 3
+        assert len(dets) == evaluations < len(log) / 3
 
     def test_benchmark_cells_rebuild_few_samples(self, monkeypatch):
-        # Over A5-A10 a pass reads six 20-sample verify bases and six all-ones
-        # samples, 126 of the memo's 160, and degree checks read no random
-        # sample, so nothing pushes a verify base out within a pass: these two
-        # passes build 247 samples for 246 distinct ones.
+        # Over A5-A10 a pass reads six 20-sample verify bases, 120 of the
+        # memo's 160, and degree checks read no sample, so nothing pushes a
+        # verify base out within a pass: these two passes build 240 samples
+        # for 240 distinct ones.
         built = _count_builds(monkeypatch)
         rng = random.Random(15)
         for _ in range(2):
@@ -740,29 +757,29 @@ class TestSampleMemo:
 
 
 class TestLazyDegrees:
-    """``sampled_multidegree`` builds the all-ones sample only when some j has
-    a t-coefficient, and never a random one: its degrees are those of the
+    """``sampled_multidegree`` builds no sample and runs no determinant, since
+    the walk over the word decides each degree: its degrees are those of the
     exact all-ones product, built from polynomials in ``tests/conftest.py``."""
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_no_t_coefficient_builds_nothing(self, monkeypatch, side):
-        built = _count_builds(monkeypatch)
+        built, dets = _count_builds(monkeypatch), _count_dets(monkeypatch)
         # rows 1..3 hold 1 and 2 (left), columns 1..3 hold 2 and 3 (right)
         spec, js = D([1, 2, 3], [1, 2, 3]), (1, 2)
         got = sampled_multidegree(spec, js, 6, A5_WORD, samples=5, rng_seed=3, side=side)
         assert sampled_multidegree(spec, (), 6, A5_WORD, samples=5, rng_seed=3, side=side) == {}
-        assert built == []
+        assert built == dets == []
         assert got == {1: 0, 2: 0} == _reference_multidegree(spec, js, 6, A5_WORD, 5, 3, side)
 
-    def test_degrees_of_one_on_the_first_sample_build_one(self, monkeypatch):
-        built = _count_builds(monkeypatch)
+    def test_degrees_of_one_build_nothing(self, monkeypatch):
+        built, dets = _count_builds(monkeypatch), _count_dets(monkeypatch)
         # the t-coefficients of D{1|2} at j=1 are D{2|2} (left) and D{1|1}
-        # (right), both 1; j=2 has none on either side.  Both sides read the
-        # all-ones sample and nothing else.
+        # (right), both 1; j=2 has none on either side.  Neither side builds
+        # a sample or runs a determinant.
         spec, js = D([1], [2]), (1, 2, 1)
         sides = ("left", "right")
         got = [sampled_multidegree(spec, js, 6, A5_WORD, 5, 40, side) for side in sides]
-        assert built == [(6, A5_WORD.letters, None)]
+        assert built == dets == []
         ones = _all_ones(6, A5_WORD)
         for side, degrees in zip(sides, got):
             want = _reference_multidegree(spec, js, 6, A5_WORD, 5, 40, side)
@@ -773,7 +790,7 @@ class TestLazyDegrees:
     def test_samples_built_while_a_degree_is_pending(self, monkeypatch, rank):
         from cellseed import oracle
 
-        built = _count_builds(monkeypatch)
+        built, dets = _count_builds(monkeypatch), _count_dets(monkeypatch)
         rng, n = random.Random(1500 + rank), rank + 1
         dead = 0
         for _ in range(25):
@@ -783,12 +800,12 @@ class TestLazyDegrees:
             samples, base = rng.randint(1, 5), rng.randrange(1 << 20)
             args = (spec, js, n, word, samples, base, side)
             oracle._sample.cache_clear()
-            del built[:]
+            del built[:], dets[:]
             got = sampled_multidegree(*args)
-            # the all-ones sample is built once some j has a t-coefficient,
-            # and no random sample whatever ``samples`` and ``base`` are
+            # no sample and no determinant, whatever ``samples`` and ``base``
+            # are and whether or not some j has a t-coefficient
             moved = {j for j in js if oracle._t_coefficient(spec, j, n, side)}
-            assert built == ([(n, word.letters, None)] if moved else [])
+            assert built == dets == [], args
             assert got == _reference_multidegree(*args)
             ones = _all_ones(n, word)
             assert got == {j: edagger_degree(spec, j, ones, side) for j in js}
@@ -803,7 +820,7 @@ class TestLazyDegrees:
     def test_identically_zero_t_coefficient_builds_no_random_sample(
         self, monkeypatch, side, spec, dead, live
     ):
-        built = _count_builds(monkeypatch)
+        built, dets = _count_builds(monkeypatch), _count_dets(monkeypatch)
         # on x_1(a)x_2(b)x_3(c) the t-coefficient at ``dead`` is D{2,3|3,4}
         # (left) or D{1,2|2,3} (right), b*c - b*c in both; the one at ``live``
         # is a*b (left) or b*c (right)
@@ -811,7 +828,7 @@ class TestLazyDegrees:
         assert sampled_multidegree(spec, (dead,), 4, word, 5, 7, side) == {dead: 0}
         js = (dead, live)
         got = sampled_multidegree(spec, js, 4, word, 5, 7, side)
-        assert built == [(4, word.letters, None)]
+        assert built == dets == []
         assert got == {dead: 0, live: 1} == _reference_multidegree(spec, js, 4, word, 5, 7, side)
         ones = _all_ones(4, word)
         assert got == {j: edagger_degree(spec, j, ones, side) for j in js}
@@ -827,28 +844,187 @@ class TestLazyDegrees:
         assert edagger_degree(spec, 2, _all_ones(3, word), "right") == 1
 
 
-class TestAllOnesSample:
+class TestMinorWalk:
     """Every minor of x_{i_1}(t_1)...x_{i_r}(t_r) is a polynomial in t with
-    nonnegative integer coefficients (Lindström's lemma), so it vanishes
-    identically exactly when the all-ones sample gives 0."""
+    positive integer coefficients (Lindström's lemma), and the walk over the
+    word says exactly when it is not identically zero."""
 
-    def test_minors_of_random_words_in_a1_to_a4(self):
+    def test_minors_of_random_words_in_a1_to_a5(self):
         from itertools import combinations
 
         rng = random.Random(24)
+        words = [(rank, ()) for rank in range(1, 6)]
+        for _ in range(150):
+            rank = rng.randint(1, 5)
+            letters = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+            # the word and its reduced prefix
+            pos = reduced_violation(LieType("A", rank), Word(letters))
+            words += [(rank, letters), (rank, letters if pos is None else letters[:pos - 1])]
         minors = zeros = 0
-        for _ in range(300):
-            rank = rng.randint(1, 4)
-            n, letters = rank + 1, tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+        for rank, letters in words:
+            n = rank + 1
             mat = word_product_polys(n, letters)
             for size in range(1, n + 1):
                 for rows in combinations(range(1, n + 1), size):
                     for cols in combinations(range(1, n + 1), size):
                         poly = poly_minor(mat, rows, cols)
                         assert min(poly.values(), default=1) > 0, (letters, rows, cols)
-                        num, den = _sample_minor(n, letters, None, rows, cols)
-                        assert (num == 0) == (not poly), (letters, rows, cols)
-                        assert Fraction(num, den) == sum(poly.values())
+                        walk = _minor_nonzero(letters, rows, cols)
+                        assert walk == bool(poly), (letters, rows, cols)
                         minors += 1
                         zeros += not poly
         assert 0 < zeros < minors
+
+
+def _ladder_seed(rank, js):
+    lt = LieType("A", rank)
+    cfg = ParabolicConfig.from_j(lt, js)
+    return initial_seed(lt, cfg, cell_word(lt, cfg))
+
+
+@pytest.fixture(scope="module")
+def benchmark_cells():
+    """(rank, n, word, identities) of the cells whose lifted relations the
+    oracle-exact benchmark verifies: A5-A10 with J={1,n//2}."""
+    out = []
+    for family, rank, js in LADDER:
+        if family == "A" and rank <= 10:
+            seed = _ladder_seed(rank, js)
+            out.append((rank, rank + 1, seed.word, lifted_relation_identities(seed)))
+    return tuple(out)
+
+
+def _side_vanishes(side, letters):
+    """Whether a side with every coefficient +1 vanishes identically on the
+    word-order product: its terms cannot cancel, so exactly when each term has
+    a factor the walk finds identically 0."""
+    assert all(coef == 1 for coef, _ in side.terms)
+    return all(
+        any(e and not _minor_nonzero(letters, spec.rows, spec.cols) for spec, e in factors)
+        for _, factors in side.terms
+    )
+
+
+def _side_nonzero(side, n, word, rng_seed):
+    """Whether a side is nonzero on the sample ``cell_sample(n, word, rng_seed)``."""
+    num, _ = side._evaluate(
+        lambda spec: _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols))
+    return num != 0
+
+
+#: k of the lifted relations whose two sides vanish identically on the
+#: word-order product, by benchmark cell rank: 44 of the 79 identities
+ZERO_IDENTITIES = {
+    5: (3, 4),
+    6: (4, 5, 8, 9),
+    7: (4, 5, 6, 9, 10, 11),
+    8: (5, 6, 7, 10, 11, 12, 16, 17),
+    9: (5, 6, 7, 8, 11, 12, 13, 14, 18, 19, 20),
+    10: (6, 7, 8, 9, 12, 13, 14, 15, 19, 20, 21, 26, 27),
+}
+
+
+class TestZeroSides:
+    """Identities that ``verify`` passes as 0 = 0 on every sample (ROADMAP
+    item 2): a record of today's, and the check that none is left."""
+
+    def test_benchmark_identities_record(self, benchmark_cells):
+        found, total = {}, 0
+        for rank, n, word, identities in benchmark_cells:
+            zero = []
+            for name, lhs, rhs in identities:
+                lz, rz = (_side_vanishes(side, word.letters) for side in (lhs, rhs))
+                assert lz == rz, (rank, name)  # both sides agree: verify passes each
+                # and the first verify sample at base 0 agrees with the walk
+                assert _side_nonzero(lhs, n, word, 0) != lz, (rank, name)
+                if lz:
+                    zero.append(int(name.removeprefix("k=")))
+            found[rank] = tuple(zero)
+            total += len(identities)
+        assert found == ZERO_IDENTITIES
+        assert (sum(map(len, found.values())), total) == (44, 79)
+
+    def test_shipped_identities_record(self):
+        _, word, identities = verify_fixture("lifted-relations-A5")
+        zero = [name for name, lhs, rhs in identities
+                if _side_vanishes(lhs, word.letters) and _side_vanishes(rhs, word.letters)]
+        assert zero == ["k=7"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="word-order products are not points of the cell, so 44 benchmark identities "
+        "and lifted-relations-A5 k=7 are 0 = 0 on them (ROADMAP item 3)",
+    )
+    def test_no_shipped_or_benchmark_identity_has_both_sides_identically_zero(
+        self, benchmark_cells
+    ):
+        # a side that is nonzero on one of the 20 verify samples is not
+        # identically zero, whatever the sampler and the signs of the terms
+        lines = (ROOT / "perfbench" / "identities.txt").read_text().splitlines()
+        sets = [(f"A{rank}", n, word, ids) for rank, n, word, ids in benchmark_cells]
+        sets += [(name, *verify_fixture(name))
+                 for name in ("minor-identities", "lifted-relations-A5")]
+        sets.append(("identities.txt", 6, A5_WORD,
+                     numbered_identities(ln for ln in lines if ln and ln[0] != "#")))
+        zero = [(label, name) for label, n, word, identities in sets
+                for name, lhs, rhs in identities
+                if not any(_side_nonzero(side, n, word, s)
+                           for s in range(20) for side in (lhs, rhs))]
+        assert zero == []
+
+
+def _zero_initial_minors(seed):
+    """Positions of the seed's initial minors that vanish identically on the
+    oracle's samples of its cell word."""
+    rank, letters = seed.lie_type.rank, seed.word.letters
+    specs = {k: weyl_minor_spec(seed.label(k).prefix, seed.label(k).fund, rank)
+             for k in range(1, seed.size + 1)}
+    return tuple(k for k, spec in specs.items()
+                 if not _minor_nonzero(letters, spec.rows, spec.cols))
+
+
+#: positions of the initial minors that vanish identically on the word-order
+#: product, by ladder cell rank (J={1,n//2}): 59 of the 124 of A5-A10
+ZERO_INITIAL_MINORS = {
+    3: (2, 3),
+    4: (3, 4, 7),
+    5: (3, 4, 5, 8, 9),
+    6: (4, 5, 6, 9, 10, 14),
+    7: (4, 5, 6, 7, 10, 11, 12, 16, 17),
+    8: (5, 6, 7, 8, 11, 12, 13, 17, 18, 23),
+    9: (5, 6, 7, 8, 9, 12, 13, 14, 15, 19, 20, 21, 26, 27),
+    10: (6, 7, 8, 9, 10, 13, 14, 15, 16, 20, 21, 22, 27, 28, 34),
+}
+
+ZERO_MINORS_REASON = (
+    "word-order products are not points of the cell: initial minors vanish on them "
+    "(ROADMAP item 3)"
+)
+
+
+class TestInitialMinorGate:
+    """A cluster variable is a nonzero function on its cell, so no initial
+    minor of a seed may vanish identically on the oracle's samples."""
+
+    def test_record(self, seed_a5_fixture):
+        found = {rank: _zero_initial_minors(_ladder_seed(rank, (1, rank // 2)))
+                 for rank in range(3, 11)}
+        assert found == ZERO_INITIAL_MINORS
+        sizes = sum(_ladder_seed(rank, (1, rank // 2)).size for rank in range(5, 11))
+        assert (sum(len(found[rank]) for rank in range(5, 11)), sizes) == (59, 124)
+        assert _zero_initial_minors(seed_a5_fixture) == (4, 5, 8)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_MINORS_REASON)
+    @pytest.mark.parametrize("rank", range(3, 11))
+    def test_ladder_cells(self, rank):
+        assert _zero_initial_minors(_ladder_seed(rank, (1, rank // 2))) == ()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_MINORS_REASON)
+    def test_a5_seed(self, seed_a5_fixture):
+        assert _zero_initial_minors(seed_a5_fixture) == ()
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_full_flags(self, rank):
+        seed = _ladder_seed(rank, tuple(range(1, rank + 1)))
+        assert _zero_initial_minors(seed) == ()

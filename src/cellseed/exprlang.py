@@ -12,8 +12,9 @@ A bare integer is a constant term, and ``D{1|2}^0`` is 1.  Example:
 ``-D{1,3|5,6} + 2*D{1|2} D{2,3|5,6}^2 - 3``.  ``MinorExpr.__str__`` writes
 text that parses back to the same terms.
 
-A term's degree, the sum of its exponents, is at most ``MAX_TERM_DEGREE``:
-evaluating a minor to a huge power would run without end.
+A term's degree, the sum of its exponents, is at most ``MAX_TERM_DEGREE``
+(owned by ``oracle``, which refuses the same terms): evaluating a minor to a
+huge power would run without end.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ from __future__ import annotations
 import re
 
 from .rootsys import CellSeedError
-from .oracle import MinorExpr, MinorSpec
+from .oracle import MAX_TERM_DEGREE, MinorExpr, MinorSpec
 
 
 class ExprParseError(CellSeedError):
     pass
-
-
-# Shipped identities have term degree at most 5 (the a5 fixture's lifted
-# relations; the formula seeds of A3-A25 reach 3) and exponents at most 2.
-MAX_TERM_DEGREE = 32
 
 
 _TOKEN = re.compile(

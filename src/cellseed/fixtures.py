@@ -65,9 +65,10 @@ def verify_fixture(name: str) -> tuple[int, Word, Iterable[Identity]]:
 def lifted_relation_identities(seed: Seed) -> tuple[Identity, ...]:
     """Identities proj(lift of relation) == exchange binomial, per mutable k.
 
-    Both sides are formal minor expressions; the left side uses the lift's own
-    (possibly stripped) words, the right side the seed labels, so equality is
-    a genuine function identity rather than a symbol comparison.
+    Both sides are formal minor expressions: the left side reads the lift's
+    weights (through ``restricted_to_expr``, ``minor_spec_from_symbol`` and
+    ``cols_from_weight``), the right side the seed labels' words, so equality
+    is a genuine function identity rather than a symbol comparison.
     """
     from .lift import build_flag_seed, lift_relation, project
     from .oracle import MinorExpr, restricted_to_expr, weyl_minor_spec

@@ -14,17 +14,17 @@ it reaches C exactly when some chain does.
 
 Everything is exact over the rationals, but the arithmetic runs on integers.
 Each t is drawn as a lowest-terms (numerator, denominator) pair, and a
-sample is built as integer columns with one denominator each.
-``verify_identity`` and ``sampled_multidegree`` take every minor straight
-from those columns as an unreduced pair: the determinant of the selected
-integer numerators, by fraction-free (Bareiss) elimination, over one product
-of column denominators.  One bounded memo keeps recent samples, each with the
-minor pairs already taken on it, since the identities of a cell share their
-samples.  An expression is evaluated as an integer numerator over a positive
-denominator, and two sides are equal when ln*rd == rn*ld; only a failing
-sample builds ``Fraction`` values for its report.  ``eval_minor`` on a
-``Fraction`` matrix clears its row denominators and runs the same integer
-kernel.
+sample is built as integer columns with one denominator each.  One kernel
+takes every minor: a sample answers a minor it was not asked before with the
+determinant of the selected integer numerators, by fraction-free (Bareiss)
+elimination, over the product of their column denominators, as an unreduced
+pair, and keeps it.  ``verify_identity`` reads its samples from one bounded
+memo, since the identities of a cell share their samples.
+``MinorExpr.evaluate`` puts a ``Fraction`` matrix in the same form, each
+column over the lcm of its denominators, and ``eval_minor`` does so with the
+minor's submatrix.  An expression is evaluated as an integer numerator over
+a positive denominator, and two sides are equal when ln*rd == rn*ld; only a
+failing sample builds ``Fraction`` values for its report.
 
 The module imports only ``rootsys``, so it shares no types with the lift
 layer it checks: a projected lift arrives as (symbol, power) factors.
@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, WeightVec, Word
 
@@ -102,10 +102,37 @@ def _sample_columns(n: int, letters: tuple[int, ...], rng_seed: int) -> Columns:
     return tuple(cols)
 
 
+class _Sample(dict):
+    """A sample's integer ``columns`` and its minors read so far, each keyed by
+    (rows, cols) as an unreduced (numerator, positive denominator) pair."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Columns):
+        self.columns = columns
+
+    @classmethod
+    def of(cls, mat: Mat) -> _Sample:
+        """The sample of a ``Fraction`` matrix, each column over its lcm denominator."""
+        cols = []
+        for col in zip(*mat):
+            d = math.lcm(*(x.denominator for x in col))
+            cols.append((d, tuple(x.numerator * (d // x.denominator) for x in col)))
+        return cls(tuple(cols))
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
+        # a column's numerators may stop above the last row: the rest are 0
+        rows, cols = key
+        sample = [self.columns[c - 1] for c in cols]
+        m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
+        pair = self[key] = _int_det(m), math.prod(d for d, _ in sample)
+        return pair
+
+
 @lru_cache(maxsize=_SAMPLE_MEMO)
-def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> tuple[Columns, dict]:
-    """A sample's integer columns and the dict of its minor pairs taken so far."""
-    return _sample_columns(n, letters, rng_seed), {}
+def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> _Sample:
+    """The sample of ``cell_sample``, with the minors taken on it so far."""
+    return _Sample(_sample_columns(n, letters, rng_seed))
 
 
 def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
@@ -114,7 +141,7 @@ def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
     Every call returns a new matrix, built from the memoized integer columns.
     """
     _check_cell(n, word.letters)
-    cols = _sample(n, word.letters, rng_seed)[0]
+    cols = _sample(n, word.letters, rng_seed).columns
     zero = Fraction(0)
     return tuple(
         tuple(zero if c < r else Fraction(cols[c][1][r], cols[c][0]) for c in range(n))
@@ -195,34 +222,10 @@ def _check_bounds(spec: MinorSpec, n: int) -> None:
 
 def eval_minor(spec: MinorSpec, mat: Mat) -> Fraction:
     _check_bounds(spec, len(mat))
-    sub = [[mat[r - 1][c - 1] for c in spec.cols] for r in spec.rows]
-    return _det(sub)
-
-
-def _sample_minor(
-    n: int, letters: tuple[int, ...], rng_seed: int,
-    rows: tuple[int, ...], cols: tuple[int, ...],
-) -> tuple[int, int]:
-    """Minor of ``cell_sample`` from its integer columns, as an unreduced
-    (numerator, positive denominator) pair; column c is 0 below row c."""
-    columns, minors = _sample(n, letters, rng_seed)
-    pair = minors.get((rows, cols))
-    if pair is None:
-        sample = [columns[c - 1] for c in cols]
-        m = [[num[r - 1] if r <= len(num) else 0 for _, num in sample] for r in rows]
-        pair = minors[rows, cols] = _int_det(m), math.prod(d for d, _ in sample)
-    return pair
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of the rows scaled to integers, then divided back."""
-    scale = 1
-    m = []
-    for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
-    return Fraction(_int_det(m), scale)
+    # the sample of the submatrix alone: the whole matrix costs n^2 per minor
+    sub = _Sample.of([[mat[r - 1][c - 1] for c in spec.cols] for r in spec.rows])
+    whole = tuple(range(1, len(spec.rows) + 1))
+    return Fraction(*sub[whole, whole])
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -315,6 +318,8 @@ def sampled_multidegree(
 # Formal minor expressions and the sampling identity checker.
 
 Term = tuple[int, tuple[tuple[MinorSpec, int], ...]]
+#: largest sum of a term's exponents; shipped identities reach 5 (the a5 fixture)
+MAX_TERM_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -324,27 +329,28 @@ class MinorExpr:
     terms: tuple[Term, ...]
 
     def check_bounds(self, n: int) -> None:
-        """Every minor, in every term, must fit an n x n matrix, to a power >= 0."""
+        """Minors fit an n x n matrix, powers are >= 0 and term degrees <= MAX_TERM_DEGREE."""
         for _, factors in self.terms:
             for spec, e in factors:
                 _check_bounds(spec, n)
                 if e < 0:
                     raise CellSeedError(f"power {e} of {spec} is negative")
+            if (degree := sum(e for _, e in factors)) > MAX_TERM_DEGREE:
+                raise CellSeedError(f"term degree {degree} exceeds {MAX_TERM_DEGREE}")
 
     def evaluate(self, mat: Mat) -> Fraction:
         self.check_bounds(len(mat))
-        return Fraction(*self._evaluate(lambda spec: eval_minor(spec, mat).as_integer_ratio()))
+        return Fraction(*self._evaluate(_Sample.of(mat)))
 
-    def _evaluate(self, minor: Callable[[MinorSpec], tuple[int, int]]) -> tuple[int, int]:
-        """Value as an unreduced (numerator, positive denominator) pair, from
-        minors given as such pairs."""
+    def _evaluate(self, sample: _Sample) -> tuple[int, int]:
+        """Value on ``sample`` as an unreduced (numerator, positive denominator) pair."""
         total, den = 0, 1
         for coef, factors in self.terms:
             p, q = coef, 1
             for spec, e in factors:
                 if p == 0:
                     break
-                a, b = minor(spec)
+                a, b = sample[spec.rows, spec.cols]
                 if e != 1:
                     a, b = a**e, b**e
                 p, q = p * a, q * b
@@ -405,12 +411,8 @@ def verify_identity(
     lhs.check_bounds(n)
     rhs.check_bounds(n)
     for s in range(samples):
-        seed = rng_seed + s
-
-        def minor(spec: MinorSpec) -> tuple[int, int]:
-            return _sample_minor(n, letters, seed, spec.rows, spec.cols)
-
-        (ln, ld), (rn, rd) = lhs._evaluate(minor), rhs._evaluate(minor)
+        sample = _sample(n, letters, rng_seed + s)
+        (ln, ld), (rn, rd) = lhs._evaluate(sample), rhs._evaluate(sample)
         if ln * rd != rn * ld:
             return VerifyReport(False, samples, s, Fraction(ln, ld), Fraction(rn, rd))
     return VerifyReport(True, samples)

@@ -24,10 +24,10 @@ from cellseed import (
     weyl_minor_spec,
 )
 from cellseed.oracle import (
+    MAX_TERM_DEGREE,
     VerifyReport,
-    _det,
     _minor_nonzero,
-    _sample_minor,
+    _sample,
     cols_from_weight,
     minor_spec_from_symbol,
     word_permutation,
@@ -192,13 +192,19 @@ def _random_matrix(rng, n):
     ]
 
 
+def _full_det(rows):
+    """Determinant of a square ``Fraction`` matrix as its full-size minor."""
+    n = len(rows)
+    return eval_minor(D(range(1, n + 1), range(1, n + 1)), rows)
+
+
 class TestFractionFreeDet:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_fraction_elimination(self, n):
         rng = random.Random(n)
         for _ in range(40):
             rows = _random_matrix(rng, n)
-            assert _det(rows) == _fraction_det(rows)
+            assert _full_det(rows) == _fraction_det(rows)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_singular(self, n):
@@ -208,22 +214,22 @@ class TestFractionFreeDet:
             a, b = rng.sample(range(n), 2)
             f = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             rows[a] = [f * x for x in rows[b]]
-            assert _det(rows) == 0 == _fraction_det(rows)
+            assert _full_det(rows) == 0 == _fraction_det(rows)
 
     def test_zero_leading_pivot_swaps_rows(self):
         rows = [[Fraction(0), Fraction(1, 2)], [Fraction(3, 4), Fraction(5)]]
-        assert _det(rows) == Fraction(-3, 8) == _fraction_det(rows)
+        assert _full_det(rows) == Fraction(-3, 8) == _fraction_det(rows)
         rows = [
             [Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(1, 3)],
             [Fraction(-1), Fraction(1, 7), Fraction(2)],
         ]
-        assert _det(rows) == _fraction_det(rows) != 0
+        assert _full_det(rows) == _fraction_det(rows) != 0
 
     def test_input_untouched(self):
         rows = [[Fraction(0), Fraction(1, 2)], [Fraction(3, 4), Fraction(5)]]
         copy = [row[:] for row in rows]
-        _det(rows)
+        _full_det(rows)
         assert rows == copy
 
 
@@ -462,7 +468,7 @@ class TestColumnPath:
             mat = cell_sample(n, word, rng_seed)
             for _ in range(8):
                 spec = _random_spec(rng, n)
-                num, den = _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols)
+                num, den = _sample(n, word.letters, rng_seed)[spec.rows, spec.cols]
                 assert den > 0
                 got = Fraction(num, den)
                 assert got == eval_minor(spec, mat), (word, rng_seed, spec)
@@ -529,7 +535,8 @@ class TestColumnPath:
         zero_factor = D([2], [1]) if n > 1 else D([1], [1])
         for _ in range(30):
             word = Word(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3 * rank))))
-            mat = cell_sample(n, word, rng.randrange(1 << 20))
+            rng_seed = rng.randrange(1 << 20)
+            mat = cell_sample(n, word, rng_seed)
             terms = []
             for _ in range(rng.randint(0, 4)):
                 factors = [(_random_spec(rng, n), rng.randint(0, 3))
@@ -544,12 +551,7 @@ class TestColumnPath:
                 for spec, k in factors:
                     prod *= eval_minor(spec, mat) ** k
                 want += prod
-
-            def minor(spec):
-                v = eval_minor(spec, mat)
-                return v.numerator, v.denominator
-
-            num, den = e._evaluate(minor)
+            num, den = e._evaluate(_sample(n, word.letters, rng_seed))
             assert den > 0 and Fraction(num, den) == want == e.evaluate(mat)
 
     def test_negative_power_rejected(self):
@@ -593,18 +595,39 @@ class TestColumnPath:
                     verify_identity(*args, 6, A5_WORD, samples=3)
 
     def test_factor_after_zero_never_evaluated(self, monkeypatch):
-        from cellseed import oracle
-
-        calls = []
-
-        def counting(n, letters, rng_seed, rows, cols):
-            calls.append((rows, cols))
-            return _sample_minor(n, letters, rng_seed, rows, cols)
-
-        monkeypatch.setattr(oracle, "_sample_minor", counting)
+        log = _watch_samples(monkeypatch)[0]
         lhs = expr((0, ((D([1], [2]), 1),)), (1, ((D([2], [1]), 1), (D([1], [2]), 1))))
         assert verify_identity(lhs, expr((0, ())), 6, A5_WORD, samples=3).equal
-        assert calls == [((2,), (1,))] * 3
+        keys = [(6, A5_WORD.letters, s) for s in range(3)]
+        assert log == [entry for key in keys
+                       for entry in (("sample", key, True), ("minor", key, ((2,), (1,)), True))]
+
+    def test_verify_fetches_each_sample_once(self, monkeypatch, seed_a5_fixture):
+        # however many minors the identities read, one fetch per sample index
+        log, reads, *_ = _watch_samples(monkeypatch)
+        for _name, lhs, rhs in lifted_relation_identities(seed_a5_fixture):
+            fetched, read = len([e for e in log if e[0] == "sample"]), len(reads)
+            assert verify_identity(lhs, rhs, 6, A5_WORD, samples=20, rng_seed=77).equal
+            fetches = [e[1] for e in log if e[0] == "sample"][fetched:]
+            assert fetches == [(6, A5_WORD.letters, 77 + s) for s in range(20)]
+            assert len(reads) - read > 20
+
+    @pytest.mark.parametrize("power", [MAX_TERM_DEGREE + 1, 10**6])
+    def test_term_degree_cap(self, monkeypatch, power):
+        # refused before any sample or minor, with the parser's message
+        log, reads, *_ = _watch_samples(monkeypatch)
+        big = expr((1, ((D([1], [2]), 1),)), (2, ((D([1], [2]), power - 1), (D([2], [3]), 1))))
+        message = f"term degree {power} exceeds {MAX_TERM_DEGREE}"
+        for args in ((big, expr((0, ()))), (expr((0, ())), big)):
+            with pytest.raises(CellSeedError, match=message):
+                verify_identity(*args, 3, Word((1, 2)), samples=2)
+        mat = identity_matrix(3)
+        with pytest.raises(CellSeedError, match=message):
+            big.evaluate(mat)
+        assert log == reads == []
+        at_cap = expr((1, ((D([1], [2]), MAX_TERM_DEGREE - 1), (D([1], [1]), 1))))
+        assert at_cap.evaluate(mat) == 0
+        assert verify_identity(at_cap, expr((0, ())), 3, Word((1,)), samples=2).equal is False
 
     def test_letter_error_before_minor_bounds(self):
         far = expr((1, ((D([9], [9]), 1),)))
@@ -680,6 +703,40 @@ def _count_builds(monkeypatch):
     return built
 
 
+def _watch_samples(monkeypatch):
+    """An empty memo and, from now on, a log of the samples ``_sample``
+    returns, ("sample", key, built), and of the minors they evaluate,
+    ("minor", key, (rows, cols), ran a determinant); the list of every minor
+    read; and those of ``_count_builds`` and ``_count_dets``."""
+    from cellseed import oracle
+
+    log, reads, owner = [], [], {}
+    built, dets = _count_builds(monkeypatch), _count_dets(monkeypatch)
+    sample, missing = oracle._sample, oracle._Sample.__missing__
+
+    def fetching(n, letters, rng_seed):
+        b = len(built)
+        got = sample(n, letters, rng_seed)
+        owner[id(got)] = key = (n, letters, rng_seed)
+        log.append(("sample", key, len(built) > b))
+        return got
+
+    def evaluating(self, key):
+        d = len(dets)
+        pair = missing(self, key)
+        log.append(("minor", owner.get(id(self)), key, len(dets) > d))
+        return pair
+
+    def reading(self, key):
+        reads.append(key)
+        return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(oracle, "_sample", fetching)
+    monkeypatch.setattr(oracle._Sample, "__missing__", evaluating)
+    monkeypatch.setattr(oracle._Sample, "__getitem__", reading)
+    return log, reads, built, dets
+
+
 def _count_dets(monkeypatch):
     """The list of the orders of the integer determinants run from now on."""
     from cellseed import oracle
@@ -702,45 +759,39 @@ class TestSampleMemo:
 
         from cellseed import oracle
 
-        log, built, dets = [], _count_builds(monkeypatch), _count_dets(monkeypatch)
-        sample_minor = oracle._sample_minor
-
-        def logging_minor(n, letters, rng_seed, rows, cols):
-            b, d = len(built), len(dets)
-            pair = sample_minor(n, letters, rng_seed, rows, cols)
-            log.append(((n, letters, rng_seed), (rows, cols), len(built) > b, len(dets) > d))
-            return pair
-
-        monkeypatch.setattr(oracle, "_sample_minor", logging_minor)
+        log, reads, built, dets = _watch_samples(monkeypatch)
         rng = random.Random(15)
         # the second pass starts with the memo full of the first pass's samples
         for _ in range(2):
             for op in _shuffled_pass(rng):
                 for check, args in op:
-                    before = len(built), len(dets), len(log)
+                    before = len(built), len(dets), len(log), len(reads)
                     assert getattr(check(*args), "equal", True)  # no FAIL, no cell_sample
-                    # a degree check builds no sample, takes no minor of one
+                    # a degree check fetches no sample, takes no minor of one
                     # and runs no determinant
                     if check is sampled_multidegree:
-                        assert (len(built), len(dets), len(log)) == before, args
-        # a sample is built again only after _SAMPLE_MEMO others were read
-        # since its last read, and a minor pair is evaluated once per build
+                        assert (len(built), len(dets), len(log), len(reads)) == before, args
+        # a sample is built again only after _SAMPLE_MEMO others were fetched
+        # since its last fetch, and a minor pair is evaluated once per build
         model = OrderedDict()
-        for key, pair, was_built, was_evaluated in log:
-            if key in model:
-                model.move_to_end(key)
+        for kind, key, *rest in log:
+            if kind == "sample":
+                if key in model:
+                    model.move_to_end(key)
+                else:
+                    model[key] = set()
+                    if len(model) > oracle._SAMPLE_MEMO:
+                        model.popitem(last=False)
+                assert rest == [not model[key]], key
             else:
-                model[key] = set()
-                if len(model) > oracle._SAMPLE_MEMO:
-                    model.popitem(last=False)
-            assert was_built == (not model[key]), key
-            assert was_evaluated == (pair not in model[key]), (key, pair)
-            model[key].add(pair)
-        samples = len({key for key, *_ in log})
-        evaluations = sum(entry[3] for entry in log)
+                pair, ran_det = rest
+                assert ran_det and pair not in model[key], (key, pair)
+                model[key].add(pair)
+        samples = len({key for _, key, *_ in log})
+        evaluations = sum(kind == "minor" for kind, *_ in log)
         # the memo holds what a pass reuses: few rebuilds, few evaluations
         assert samples <= len(built) < 1.05 * samples
-        assert len(dets) == evaluations < len(log) / 3
+        assert len(dets) == evaluations < len(reads) / 3
 
     def test_benchmark_cells_rebuild_few_samples(self, monkeypatch):
         # Over A5-A10 a pass reads six 20-sample verify bases, 120 of the
@@ -907,8 +958,7 @@ def _side_vanishes(side, letters):
 
 def _side_nonzero(side, n, word, rng_seed):
     """Whether a side is nonzero on the sample ``cell_sample(n, word, rng_seed)``."""
-    num, _ = side._evaluate(
-        lambda spec: _sample_minor(n, word.letters, rng_seed, spec.rows, spec.cols))
+    num, _ = side._evaluate(_sample(n, word.letters, rng_seed))
     return num != 0
 
 

@@ -402,6 +402,20 @@ class TestTwoStepWords:
         with pytest.raises(CellSeedError):
             two_step_A_words(5, 3, 3)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_block_shape_exactly_when_j1_is_1(self, n):
+        lt = LieType("A", n)
+        for j1, j2 in itertools.combinations(range(1, n + 1), 2):
+            u4 = two_step_A_words(n, j1, j2)[3].letters
+            if j1 == 1:
+                # s_1..s_n, then j2-1 runs of length n-j2 and j2-1 of length 1
+                runs = [range(j2 - t, n - t) for t in range(1, j2)]
+                runs += [(n - t,) for t in range(1, j2)]
+                assert u4 == tuple(range(1, n + 1)) + tuple(i for r in runs for i in r)
+            else:
+                # no reduced word of u4 starts with s_1
+                assert word_length(lt, Word((1,) + u4)) == len(u4) + 1
+
 
 class TestMaxBWords:
     def test_n3(self):

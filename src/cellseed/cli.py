@@ -22,6 +22,7 @@ from .rootsys import (
     cell_word,
     longest_word,
     parse_subset,
+    symmetrizers,
 )
 from .seedcore import (
     Seed,
@@ -104,7 +105,7 @@ def cmd_cartan(args) -> int:
         {
             "type": str(lt),
             "entries": [list(r) for r in cm.entries],
-            "symmetrizers": list(cm.symmetrizers()),
+            "symmetrizers": list(symmetrizers(lt)),
         },
         text,
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, lcm
 from typing import Iterable, Optional
 
 
@@ -51,10 +50,9 @@ _RANK_BOUNDS = {
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 # Entries a dense integer table may have: rank x rank for a Cartan matrix (the
-# ``cartan`` output and the seed-file symmetrizer check) and for the
-# ``prefix_weights`` images, positions x mutable positions for an initial
-# exchange matrix, n x n for a cell sample.  At 8 bytes a reference that is
-# 128 MiB, checked before the table is allocated.
+# ``cartan`` output) and for the ``prefix_weights`` images, positions x mutable
+# positions for an initial exchange matrix, n x n for a cell sample.  At 8
+# bytes a reference that is 128 MiB, checked before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
 # Lie types whose root supports are kept (the benchmark ladder has 21); each
 # holds at most four entries per vertex, not a dense Cartan matrix.
@@ -107,42 +105,9 @@ class CartanMatrix:
 
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
     def entry(self, i: int, j: int) -> int:
         """Entry a[i][j] with 1-based vertex indices."""
         return self.entries[i - 1][j - 1]
-
-    def symmetrizers(self) -> tuple[int, ...]:
-        """Smallest positive integers d with d_i a[i][j] = d_j a[j][i]."""
-        from fractions import Fraction  # only here, so most commands never load it
-
-        n = self.rank
-        d: list[Optional[Fraction]] = [None] * n
-        for start in range(n):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(n):
-                    if i == j or self.entries[i][j] == 0:
-                        continue
-                    if self.entries[j][i] == 0:  # d_i a[i][j] = d_j a[j][i] has no d > 0
-                        raise CellSeedError("matrix is not symmetrizable")
-                    val = d[i] * Fraction(self.entries[i][j], self.entries[j][i])
-                    if d[j] is None:
-                        d[j] = val
-                        stack.append(j)
-                    elif d[j] != val:
-                        raise CellSeedError("matrix is not symmetrizable")
-        scale = lcm(*(x.denominator for x in d))
-        ints = [int(x * scale) for x in d]
-        g = gcd(*ints)
-        return tuple(x // g for x in ints)
 
 
 def cartan_matrix(lie_type: LieType) -> CartanMatrix:
@@ -288,12 +253,30 @@ def root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
     cols = [{i: 2} for i in range(n)]
     for i, j in edges:
         cols[i - 1][j - 1] = cols[j - 1][i - 1] = -1
-    # the one multiple bond: (row l, column i, a[l][i]), 1-based
-    bond = {"B": (n, n - 1, -2), "C": (n - 1, n, -2), "F": (3, 2, -2), "G": (1, 2, -3)}
-    if fam in bond:
-        l, i, a = bond[fam]
+    bond = _multiple_bond(lie_type)
+    if bond:
+        l, i, a = bond
         cols[i - 1][l - 1] = a
     return tuple(tuple(sorted(col.items())) for col in cols)
+
+
+def _multiple_bond(lie_type: LieType) -> Optional[tuple[int, int, int]]:
+    """(row l, column i, a[l][i]) at the one multiple bond, 1-based; alpha_i is long."""
+    n = lie_type.rank
+    bond = {"B": (n, n - 1, -2), "C": (n - 1, n, -2), "F": (3, 2, -2), "G": (1, 2, -3)}
+    return bond.get(lie_type.family)
+
+
+def symmetrizers(lie_type: LieType) -> tuple[int, ...]:
+    """Smallest positive d with d_i a[i][j] = d_j a[j][i]: d_i = |alpha_i|^2 over a
+    short root's (Bourbaki, plates I-IX), so -a on the side of the multiple bond
+    that holds alpha_i and 1 elsewhere.  Each diagram with one is a chain."""
+    bond = _multiple_bond(lie_type)
+    if bond is None:
+        return (1,) * lie_type.rank
+    l, i, a = bond
+    long = range(1, i + 1) if i < l else range(i, lie_type.rank + 1)
+    return tuple(-a if v in long else 1 for v in lie_type.vertices)
 
 
 def _reflect_in_place(supports, mu: list[int], i: int) -> None:

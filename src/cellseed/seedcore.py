@@ -20,9 +20,9 @@ from .rootsys import (
     LieType,
     ParabolicConfig,
     Word,
-    cartan_matrix,
     reduced_violation,
     root_supports,
+    symmetrizers,
 )
 
 
@@ -337,7 +337,7 @@ def _check_seed(seed: Seed, labels: tuple[Label, ...], frozen: tuple[bool, ...])
                 f"label {label} at position {k} does not match the word {word} "
                 f"and history {list(seed.history)}"
             )
-    d = cartan_matrix(seed.lie_type).symmetrizers()
+    d = symmetrizers(seed.lie_type)
     cols = matrix.col_labels
     dk = [d[word.letters[k - 1] - 1] for k in cols]
     pp = matrix.principal_part()

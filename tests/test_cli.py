@@ -736,6 +736,33 @@ class TestSeedFile:
         assert code == 0
         assert "Δ{w2,(3,2)}·Δ{w3}^2 / Δ{w2}" in out
 
+    @pytest.mark.parametrize(
+        "lie_type,js,changed",
+        [("G2", (1, 2), 3), ("B3", (3,), 2), ("F4", (1,), 6)],
+        ids=["G2-J1,2", "B3-J3", "F4-J1"],
+    )
+    def test_skew_symmetric_principal_part_rejected(self, tmp_path, capsys, lie_type, js, changed):
+        # skew-symmetric, so an all-ones D would accept it; the type's D does not
+        from cellseed import LieType, ParabolicConfig, cell_word, initial_seed
+        from cellseed.seedcore import seed_to_dict
+
+        lt = LieType.parse(lie_type)
+        cfg = ParabolicConfig.from_j(lt, js)
+        obj = seed_to_dict(initial_seed(lt, cfg, cell_word(lt, cfg)))
+        pp = obj["matrix"]["entries"]  # the principal part is the first len(cols) rows
+        edited = 0
+        for a in range(len(obj["matrix"]["cols"])):
+            for b in range(a + 1, len(obj["matrix"]["cols"])):
+                edited += pp[b][a] != -pp[a][b]
+                pp[b][a] = -pp[a][b]
+        assert edited == changed
+        f = tmp_path / "skew.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "seed", "--seed-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not skew-symmetrizable" in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -991,21 +1018,21 @@ LOADED_PROBE = (
     "raise SystemExit(code)\n"
 )
 NO_LIFT_OR_ORACLE = {"cellseed.lift", "cellseed.oracle", "cellseed.exprlang"}
-#: only the symmetrizers of a Cartan matrix (``cartan``, a seed file's check)
-#: and the oracle compute with ``Fraction``
+#: only the oracle computes with ``Fraction``
 NO_FRACTION = {"fractions", "decimal"}
 
 
 #: README commands, and the layers each must not load
 LAYERS_UNUSED = [
-    (("cartan", "B3"), NO_LIFT_OR_ORACLE),
+    (("cartan", "B3"), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("w0", "B3", "--subset", "{1,2}"), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("cellword", "A5", "--J", "{1,3}"), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("seed", *B3_ARGS), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("mutate", *B3_ARGS, "--seq", "1,2,1"), NO_LIFT_OR_ORACLE | NO_FRACTION),
-    (("mutate", "--fixture", "b3", "--interactive"), NO_LIFT_OR_ORACLE),
+    (("mutate", "--fixture", "b3", "--interactive"), NO_LIFT_OR_ORACLE | NO_FRACTION),
     (("lift", *A5_ARGS, "--k", "10"), {"cellseed.oracle", "cellseed.exprlang"} | NO_FRACTION),
-    (("liftrel", "--fixture", "a5", "--k", "1"), {"cellseed.oracle", "cellseed.exprlang"}),
+    (("liftrel", "--fixture", "a5", "--k", "1"),
+     {"cellseed.oracle", "cellseed.exprlang"} | NO_FRACTION),
     (("flagseed", *B3_ARGS), {"cellseed.oracle", "cellseed.exprlang"} | NO_FRACTION),
     (("verify", "--fixture", "minor-identities"), {"cellseed.lift"}),
     (("verify", "--file", "perfbench/identities.txt", "--n", "6", "--cell-word", A5_ARGS[-1]),

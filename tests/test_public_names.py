@@ -16,7 +16,8 @@ PUBLIC = {
     "rootsys": [
         "CartanMatrix", "CellSeedError", "InvalidTypeError", "LieType", "ParabolicConfig",
         "WeightVec", "Word", "apply_word", "cartan_matrix", "cell_word", "longest_word",
-        "max_B_words", "parse_subset", "reflect", "two_step_A_words", "word_length",
+        "max_B_words", "parse_subset", "reflect", "symmetrizers", "two_step_A_words",
+        "word_length",
     ],
     "seedcore": [
         "ExchangeMatrix", "MinorLabel", "MutationLabel", "NonReducedWordError", "Seed",
@@ -54,7 +55,7 @@ def _fresh(code):
 
 def test_every_public_name_is_listed_once():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 54
+    assert len(names) == len(set(names)) == 55
 
 
 @pytest.mark.parametrize(

@@ -75,12 +75,12 @@ class TestInitialMatrix:
         assert info.value.position == 2
 
     def test_skew_symmetrizable_principal(self, a5, b3):
-        from cellseed import cartan_matrix
+        from cellseed import symmetrizers
 
         for lt, word in ((a5, A5_WORD), (b3, B3_WORD)):
             m = initial_matrix(lt, word)
             pp = m.principal_part()
-            d_full = cartan_matrix(lt).symmetrizers()
+            d_full = symmetrizers(lt)
             letters = word.letters
             d = [d_full[letters[k - 1] - 1] for k in m.col_labels]
             c = len(pp)
@@ -400,11 +400,21 @@ class TestSerialization:
         assert "-2" in text
 
 
-ROUND_TRIP_CELLS = [("A", n, (1, n // 2)) for n in range(5, 9)] + [("B", n, (n,)) for n in range(3, 6)]
+#: A and B cells, then a cell of every family with a multiple bond (whose
+#: seed files are checked with symmetrizers other than ones) and of D and E
+ROUND_TRIP_CELLS = (
+    [("A", n, (1, n // 2)) for n in range(5, 9)]
+    + [("B", n, (n,)) for n in range(3, 6)]
+    + [("C", 3, (1,)), ("C", 4, (2,)), ("F", 4, (1,)), ("F", 4, (4,))]
+    + [("G", 2, (1,)), ("G", 2, (1, 2)), ("D", 5, (4,)), ("E", 6, (1,))]
+)
 
 
 @pytest.mark.parametrize(
-    "family,rank,js", ROUND_TRIP_CELLS, ids=[f"{f}{n}" for f, n, _ in ROUND_TRIP_CELLS]
+    "family,rank,js",
+    ROUND_TRIP_CELLS,
+    ids=[f"{f}{n}" + ("" if f in "AB" else f"-J{','.join(map(str, js))}")
+         for f, n, js in ROUND_TRIP_CELLS],
 )
 def test_dict_round_trip_initial_and_mutated(family, rank, js):
     from cellseed.rootsys import cell_word
@@ -414,7 +424,7 @@ def test_dict_round_trip_initial_and_mutated(family, rank, js):
     cfg = ParabolicConfig.from_j(lt, js)
     seed = initial_seed(lt, cfg, cell_word(lt, cfg))
     mutated = seed
-    for k in seed.mutable_positions()[:3]:
+    for k in (seed.mutable_positions() * 3)[:3]:  # C3 J={1} has two
         mutated = mutate_seed(mutated, k)
     assert len(mutated.history) == 3
     for s in (seed, mutated):

@@ -1,7 +1,7 @@
-"""The package imports nothing outside itself and the standard library, each
-layer imports only the layers below it and only their public names, every
-memo has a bound, and every function and class member has a reader outside
-the tests."""
+"""The package imports nothing outside itself and the standard library, only
+the oracle imports ``fractions``, each layer imports only the layers below it
+and only their public names, every memo has a bound, and every function and
+class member has a reader outside the tests."""
 
 import ast
 import sys
@@ -38,6 +38,17 @@ def test_package_imports_only_stdlib():
         if not level and name.split(".")[0] not in sys.stdlib_module_names | {"cellseed"}
     ]
     assert outside == []
+
+
+def test_only_the_oracle_imports_fractions():
+    # every other module computes with integers; rootsys reads the Cartan
+    # symmetrizers off the Dynkin diagram, with no lcm/gcd normalisation
+    importers = {
+        path.stem: {name.split(".")[0] for level, name in _imports(path) if not level}
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert sorted(name for name, found in importers.items() if "fractions" in found) == ["oracle"]
+    assert "math" not in importers["rootsys"]
 
 
 #: the layers bottom up, each with the package modules it may import

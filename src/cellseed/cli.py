@@ -99,12 +99,12 @@ def _resolve_seed(args) -> Seed:
 def cmd_cartan(args) -> int:
     lt = LieType.parse(args.type)
     cm = cartan_matrix(lt)
-    text = "\n".join(" ".join(f"{x:>2}" for x in row) for row in cm.entries)
+    text = "\n".join(" ".join(f"{x:>2}" for x in row) for row in cm)
     _emit(
         args,
         {
             "type": str(lt),
-            "entries": [list(r) for r in cm.entries],
+            "entries": [list(r) for r in cm],
             "symmetrizers": list(symmetrizers(lt)),
         },
         text,

@@ -29,7 +29,6 @@ from .rootsys import (
     CellSeedError,
     LieType,
     ParabolicConfig,
-    WeightVec,
     Word,
     check_letters,
     prefix_weights,
@@ -116,14 +115,14 @@ class MinorSymbol:
     """
 
     fund: int
-    weight: WeightVec
+    weight: tuple[int, ...]
     word: Word = field(compare=False)
 
     def sort_key(self):
-        return (self.fund, self.weight.coeffs)
+        return (self.fund, self.weight)
 
     def is_unit(self) -> bool:
-        c = self.weight.coeffs
+        c = self.weight
         return 0 < self.fund <= len(c) and c[self.fund - 1] == 1 and c.count(0) == len(c) - 1
 
     def render(self, letter: str = "Δ") -> str:
@@ -233,14 +232,14 @@ def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> 
     """``lift_minor`` of the k-th prefix of a checked word, whose weight is ``weight``."""
     i = word.letters[k - 1]
     if i in cfg.j_set:
-        sym = MinorSymbol(i, WeightVec(weight), word.prefix(k))
+        sym = MinorSymbol(i, weight, word.prefix(k))
         return LiftMonomial(((sym, 1),), (), (), MultiDegree.fundamental(cfg.j_set, i))
     res = _strip_result(word, k, weight)
     if res.j_star not in cfg.j_set:
         raise LiftDegreeError(
             f"first acting letter {res.j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
         )
-    sym = MinorSymbol(i, WeightVec(weight), res.stripped)
+    sym = MinorSymbol(i, weight, res.stripped)
     return LiftMonomial(
         ((sym, 1),),
         ((res.j_star, res.d),),
@@ -264,14 +263,13 @@ class LiftedRelation:
     """Lifted exchange relation x~_k x~'_k = mu*M~ + nu*L~ at a mutable k."""
 
     k: int
-    left: tuple[str, str]
     mu: MultiDegree
     nu: MultiDegree
     terms: tuple[LiftMonomial, LiftMonomial]
     degree: MultiDegree
 
     def __str__(self) -> str:
-        return f"{self.left[0]}·{self.left[1]} = {self.terms[0]} + {self.terms[1]}"
+        return f"~x[{self.k}]·~x'[{self.k}] = {self.terms[0]} + {self.terms[1]}"
 
 
 @dataclass(frozen=True)
@@ -291,8 +289,8 @@ class FlagSeed:
     @cached_property
     def unit_frozen(self) -> tuple[MinorSymbol, ...]:
         """Delta_{w_j} for j in J, each of degree w_j."""
-        rank, js = self.base.lie_type.rank, self.base.cfg.j_set
-        return tuple(MinorSymbol(j, WeightVec.fundamental(rank, j), Word(())) for j in js)
+        vs, js = self.base.lie_type.vertices, self.base.cfg.j_set
+        return tuple(MinorSymbol(j, tuple(int(l == j) for l in vs), Word(())) for j in js)
 
     @cached_property
     def extension_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -367,8 +365,7 @@ def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     assert all(min(a, b) == 0 for a, b in zip(alpha, beta))
     assert all(m + a == t == l + b for m, a, l, b, t in zip(d_m, alpha, d_l, beta, top))
     terms = (term(m_support, alpha), term(l_support, beta))
-    left = (f"~x[{k}]", f"~x'[{k}]")
-    return LiftedRelation(k, left, MultiDegree(js, alpha), MultiDegree(js, beta), terms, degree)
+    return LiftedRelation(k, MultiDegree(js, alpha), MultiDegree(js, beta), terms, degree)
 
 
 def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
@@ -454,7 +451,7 @@ def lift_monomial_to_dict(m: LiftMonomial) -> dict:
         "num": [
             {
                 "i": sym.fund,
-                "weight": list(sym.weight.coeffs),
+                "weight": list(sym.weight),
                 "word": list(sym.word.letters),
                 "exp": e,
             }

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, WeightVec, Word
+from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, Word
 
 Mat = tuple[tuple[Fraction, ...], ...]
 #: integer columns of a sample, each as (denominator, numerators of rows 1..c)
@@ -60,8 +60,10 @@ def _random_rational(rng: random.Random) -> tuple[int, int]:
 # Samples kept by ``_sample``, each with the minor pairs already taken on it.
 # A shuffled oracle-exact pass reads six cells' 20-sample verify bases, 120
 # samples.  At 160 samples, about 0.8 MiB with their minors by tracemalloc, a
-# pass builds each sample about once.
+# pass builds each sample about once.  A sample of more than _MEMO_ENTRIES
+# entries (n > 64) is built anew on each fetch: at n = 1024 one held 4 MiB.
 _SAMPLE_MEMO = 160
+_MEMO_ENTRIES = MAX_TABLE_ENTRIES >> 12
 
 
 def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
@@ -135,13 +137,20 @@ def _sample(n: int, letters: tuple[int, ...], rng_seed: int) -> _Sample:
     return _Sample(_sample_columns(n, letters, rng_seed))
 
 
+def _fetch(n: int, letters: tuple[int, ...], rng_seed: int) -> _Sample:
+    """``_sample``, past the memo when n * n is more than _MEMO_ENTRIES."""
+    if n * n > _MEMO_ENTRIES:
+        return _Sample(_sample_columns(n, letters, rng_seed))
+    return _sample(n, letters, rng_seed)
+
+
 def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
     """Product x_{i_1}(t_1)...x_{i_r}(t_r) with seeded nonzero rational t's.
 
-    Every call returns a new matrix, built from the memoized integer columns.
+    Every call returns a new matrix, built from the integer columns of ``_fetch``.
     """
     _check_cell(n, word.letters)
-    cols = _sample(n, word.letters, rng_seed).columns
+    cols = _fetch(n, word.letters, rng_seed).columns
     zero = Fraction(0)
     return tuple(
         tuple(zero if c < r else Fraction(cols[c][1][r], cols[c][0]) for c in range(n))
@@ -191,18 +200,18 @@ def weyl_minor_spec(v_word: Word, i: int, rank: int) -> MinorSpec:
     return MinorSpec(tuple(range(1, i + 1)), cols)
 
 
-def cols_from_weight(weight: WeightVec, i: int) -> tuple[int, ...]:
+def cols_from_weight(weight: tuple[int, ...], i: int) -> tuple[int, ...]:
     """Column set of the extremal weight v(w_i), read off its coordinates.
 
     In epsilon-coordinates the weight is the indicator vector of the column
     set up to a constant shift.
     """
-    rank = len(weight.coeffs)
-    raw = [sum(weight.coeffs[k:]) for k in range(rank)] + [0]
+    raw = [sum(weight[k:]) for k in range(len(weight))] + [0]
     lo = min(raw)
     ones = [idx + 1 for idx, v in enumerate(raw) if v == lo + 1]
     if any(v not in (lo, lo + 1) for v in raw) or len(ones) != i:
-        raise CellSeedError(f"{weight} is not an extremal weight of level {i}")
+        text = ",".join(map(str, weight))
+        raise CellSeedError(f"({text}) is not an extremal weight of level {i}")
     return tuple(ones)
 
 
@@ -411,7 +420,7 @@ def verify_identity(
     lhs.check_bounds(n)
     rhs.check_bounds(n)
     for s in range(samples):
-        sample = _sample(n, letters, rng_seed + s)
+        sample = _fetch(n, letters, rng_seed + s)
         (ln, ld), (rn, rd) = lhs._evaluate(sample), rhs._evaluate(sample)
         if ln * rd != rn * ld:
             return VerifyReport(False, samples, s, Fraction(ln, ld), Fraction(rn, rd))

@@ -1,6 +1,6 @@
 """Finite-type Cartan data, weight arithmetic and Weyl-group word operations.
 
-Weights are integer vectors in the fundamental-weight basis, so the pairing
+Weights are integer tuples in the fundamental-weight basis, so the pairing
 <alpha_i^vee, lambda> is just the i-th coordinate.  Words are sequences of
 simple-reflection indices written left to right and applied to weights right
 to left, i.e. (i1,...,in) acts as s_{i1}(s_{i2}(...s_{in}(lambda))).
@@ -99,44 +99,14 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Integer Cartan matrix with the convention a[i][j] = <alpha_i^vee, alpha_j>."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry a[i][j] with 1-based vertex indices."""
-        return self.entries[i - 1][j - 1]
-
-
-def cartan_matrix(lie_type: LieType) -> CartanMatrix:
-    """Cartan matrix in Bourbaki numbering; in B_n the short root is alpha_n."""
+def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
+    """Rows of the Cartan matrix a[i][j] = <alpha_i^vee, alpha_j>, in Bourbaki
+    numbering; in B_n the short root is alpha_n."""
     a = [[0] * lie_type.rank for _ in lie_type.vertices]
     for i, support in enumerate(root_supports(lie_type)):
         for l, x in support:
             a[l][i] = x
-    return CartanMatrix(tuple(map(tuple, a)))
-
-
-@dataclass(frozen=True)
-class WeightVec:
-    """Integer weight in the fundamental-weight basis."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def fundamental(cls, rank: int, i: int) -> "WeightVec":
-        if not 1 <= i <= rank:
-            raise CellSeedError(f"vertex {i} out of range 1..{rank}")
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(rank)))
-
-    def pairing(self, i: int) -> int:
-        """<alpha_i^vee, self>."""
-        return self.coeffs[i - 1]
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
+    return tuple(map(tuple, a))
 
 
 @dataclass(frozen=True)
@@ -213,25 +183,25 @@ def check_letters(lie_type: LieType, word: Word) -> None:
             raise CellSeedError(f"letter {i} out of range for {lie_type}")
 
 
-def _check_weight(lie_type: LieType, weight: WeightVec) -> None:
-    if len(weight.coeffs) != lie_type.rank:
+def _check_weight(lie_type: LieType, weight: tuple[int, ...]) -> None:
+    if len(weight) != lie_type.rank:
         raise CellSeedError(
-            f"weight {weight} has {len(weight.coeffs)} coordinates, {lie_type} has "
-            f"{lie_type.rank} vertices"
+            f"weight ({','.join(map(str, weight))}) has {len(weight)} coordinates, "
+            f"{lie_type} has {lie_type.rank} vertices"
         )
 
 
-def reflect(lie_type: LieType, i: int, weight: WeightVec) -> WeightVec:
+def reflect(lie_type: LieType, i: int, weight: tuple[int, ...]) -> tuple[int, ...]:
     """Apply the simple reflection s_i: lambda - <alpha_i^vee, lambda> alpha_i."""
     if not 1 <= i <= lie_type.rank:
         raise CellSeedError(f"vertex {i} out of range for {lie_type}")
     _check_weight(lie_type, weight)
-    mu = list(weight.coeffs)
+    mu = list(weight)
     _reflect_in_place(root_supports(lie_type), mu, i)
-    return WeightVec(tuple(mu))
+    return tuple(mu)
 
 
-def apply_word(lie_type: LieType, word: Word, weight: WeightVec) -> WeightVec:
+def apply_word(lie_type: LieType, word: Word, weight: tuple[int, ...]) -> tuple[int, ...]:
     """Apply a word to a weight, rightmost letter first."""
     check_letters(lie_type, word)
     _check_weight(lie_type, weight)
@@ -295,7 +265,7 @@ def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     alpha_i = sum_l a[l][i] w_l, letter i changes only I_i, to
     I_i - sum_l a[l][i] I_l.  The letters must already be checked.
     """
-    images = [WeightVec.fundamental(lie_type.rank, j).coeffs for j in lie_type.vertices]
+    images = [tuple(int(l == j) for l in lie_type.vertices) for j in lie_type.vertices]
     supports = root_supports(lie_type)
     out = []
     for i in word.letters:

@@ -57,20 +57,22 @@ def seed_a5_fixture():
     return load_seed("a5")
 
 
+def unit_weight(rank, i):
+    """The fundamental weight w_i as an integer tuple."""
+    return tuple(int(k == i) for k in range(1, rank + 1))
+
+
 def positive_roots(lie_type, subset):
     """Positive roots of the sub-root-system on ``subset`` by reflection closure."""
     cm = cartan_matrix(lie_type)
-    n = lie_type.rank
-    simples = {
-        tuple(1 if k == i - 1 else 0 for k in range(n)): i for i in subset
-    }
+    simples = {unit_weight(lie_type.rank, i): i for i in subset}
     roots = set(simples)
     frontier = set(simples)
     while frontier:
         new = set()
         for r in frontier:
             for i in subset:
-                pairing = sum(cm.entry(i, j + 1) * c for j, c in enumerate(r))
+                pairing = sum(cm[i - 1][j] * c for j, c in enumerate(r))
                 img = list(r)
                 img[i - 1] -= pairing
                 img_t = tuple(img)
@@ -104,7 +106,7 @@ def braid_moves(lie_type, word, rng, attempts=30):
         i, j = letters[pos], letters[pos + 1]
         if i == j:
             continue
-        m = {0: 2, 1: 3, 2: 4, 3: 6}[cm.entry(i, j) * cm.entry(j, i)]
+        m = {0: 2, 1: 3, 2: 4, 3: 6}[cm[i - 1][j - 1] * cm[j - 1][i - 1]]
         seg = letters[pos : pos + m]
         if len(seg) < m:
             continue

@@ -17,7 +17,6 @@ from cellseed import (
     MinorSpec,
     MultiDegree,
     ParabolicConfig,
-    WeightVec,
     Word,
     apply_word,
     bhat_column,
@@ -41,7 +40,7 @@ from cellseed.fixtures import A5_WORD, B3_WORD, load_seed
 from cellseed.lift import MinorSymbol
 from cellseed.oracle import MinorExpr
 
-from conftest import braid_moves, monomial, product, random_words
+from conftest import braid_moves, monomial, product, random_words, unit_weight
 from test_seedcore import _random_extended_matrix
 
 
@@ -53,7 +52,7 @@ CFG_B3 = ParabolicConfig.from_j(B3, (3,))
 
 def _sym(lt, word_text, i):
     word = Word.parse(word_text)
-    weight = apply_word(lt, word, WeightVec.fundamental(lt.rank, i))
+    weight = apply_word(lt, word, unit_weight(lt.rank, i))
     return MinorSymbol(i, weight, word)
 
 
@@ -240,14 +239,14 @@ def test_criterion_10_property_suite():
                 assert d[a] * pp[a][b] == -d[b] * pp[b][a]
     # reflect involution on random weights
     for lt, _ in random_words(rng, 60):
-        lam = WeightVec(tuple(rng.randint(-5, 5) for _ in range(lt.rank)))
+        lam = tuple(rng.randint(-5, 5) for _ in range(lt.rank))
         i = rng.randint(1, lt.rank)
         assert reflect(lt, i, reflect(lt, i, lam)) == lam
     # braid invariance of apply_word on random braided words
     for lt, word in random_words(rng, 60):
         moved = braid_moves(lt, word, rng)
         for i in range(1, lt.rank + 1):
-            lam = WeightVec.fundamental(lt.rank, i)
+            lam = unit_weight(lt.rank, i)
             assert apply_word(lt, word, lam) == apply_word(lt, moved, lam)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

@@ -9,7 +9,6 @@ from cellseed import (
     MinorSymbol,
     MultiDegree,
     NonReducedWordError,
-    WeightVec,
     Word,
     apply_word,
     bhat_column,
@@ -26,7 +25,7 @@ from cellseed import (
 from cellseed.fixtures import A5_WORD, B3_WORD
 from cellseed.lift import RestrictedMonomial, RestrictedSum
 from cellseed.rootsys import prefix_weights
-from conftest import LADDER, monomial, monomial_degree, product, reduced_words
+from conftest import LADDER, monomial, monomial_degree, product, reduced_words, unit_weight
 
 
 def deg(js, **kw):
@@ -37,7 +36,7 @@ def deg(js, **kw):
 
 def flag_symbol(lt, word_text, i):
     word = Word.parse(word_text) if word_text else Word(())
-    weight = apply_word(lt, word, WeightVec.fundamental(lt.rank, i))
+    weight = apply_word(lt, word, unit_weight(lt.rank, i))
     return MinorSymbol(i, weight, word)
 
 
@@ -62,7 +61,7 @@ class TestStripWord:
                 prefix = word.prefix(k)
                 i = word.letters[k - 1]
                 r = strip_word(lt, prefix, i)
-                target = WeightVec.fundamental(lt.rank, i)
+                target = unit_weight(lt.rank, i)
                 assert apply_word(lt, r.stripped, target) == apply_word(lt, prefix, target)
 
     def test_first_equals_last_gives_one(self, a5, b3):
@@ -540,7 +539,7 @@ def _product_relation(fs, k):
         )
         for sup, u in zip(supports, (alpha, beta))
     )
-    return LiftedRelation(k, (f"~x[{k}]", f"~x'[{k}]"), alpha, beta, terms, top)
+    return LiftedRelation(k, alpha, beta, terms, top)
 
 
 def _outcome(make, fs, k):
@@ -608,7 +607,7 @@ class TestRelationFromParts:
             assert len(set(keys)) == len(keys)
         for lt, word in reduced_words():
             weights = prefix_weights(lt, word)
-            keys = [MinorSymbol(i, WeightVec(w), Word(())).sort_key() for i, w in zip(word, weights)]
+            keys = [MinorSymbol(i, w, Word(())).sort_key() for i, w in zip(word, weights)]
             assert len(set(keys)) == len(keys), f"{lt} {word}"
 
     def test_three_degrees_and_no_product(self, monkeypatch):
@@ -633,12 +632,12 @@ def _right_to_left_strip(lt, word, i):
     """(start, d) by the defining walk: apply ``word`` to w_i from the right;
     start is the leftmost letter pairing nonzero with the weight of the
     suffix after it, d that pairing."""
-    weight = WeightVec.fundamental(lt.rank, i)
+    weight = unit_weight(lt.rank, i)
     start = d = 0
     for t in range(len(word) - 1, -1, -1):
         letter = word.letters[t]
-        if weight.pairing(letter):
-            start, d = t + 1, weight.pairing(letter)
+        if weight[letter - 1]:
+            start, d = t + 1, weight[letter - 1]
         weight = reflect(lt, letter, weight)
     return start, d
 
@@ -658,8 +657,8 @@ class TestWeightTable:
             table = prefix_weights(lt, word)
             assert len(table) == len(word)
             for k, i in enumerate(word.letters, start=1):
-                want = apply_word(lt, word.prefix(k), WeightVec.fundamental(lt.rank, i))
-                assert table[k - 1] == want.coeffs, f"{lt} {word} position {k}"
+                want = apply_word(lt, word.prefix(k), unit_weight(lt.rank, i))
+                assert table[k - 1] == want, f"{lt} {word} position {k}"
 
     def test_strip_equals_right_to_left_walk(self):
         for lt, word in self.WORDS:

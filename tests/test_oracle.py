@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from cellseed import (
     MinorSpec,
     ParabolicConfig,
     Word,
-    WeightVec,
     apply_word,
     build_flag_seed,
     cell_sample,
@@ -39,7 +39,7 @@ from cellseed.fixtures import (
     verify_fixture,
 )
 from cellseed.rootsys import reduced_violation
-from conftest import LADDER, identity_matrix, poly_minor, word_product_polys
+from conftest import LADDER, identity_matrix, poly_minor, unit_weight, word_product_polys
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,7 +82,7 @@ class TestWeylMinorSpec:
             lt = type(a5).parse(f"A{n}")
             word = Word(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 10))))
             i = rng.randint(1, n)
-            weight = apply_word(lt, word, WeightVec.fundamental(n, i))
+            weight = apply_word(lt, word, unit_weight(n, i))
             assert weyl_minor_spec(word, i, n).cols == cols_from_weight(weight, i)
 
     def test_lift_symbols_name_their_seed_labels(self):
@@ -805,6 +805,19 @@ class TestSampleMemo:
                 for check, args in op:
                     check(*args)
         assert len(built) < 1.02 * len(set(built))
+
+    def test_large_samples_pass_the_memo(self):
+        # 20 kept samples at n = 1024 held about 82 MiB by tracemalloc
+        side = MinorExpr(((1, ((MinorSpec((1,), (2,)), 1),)),))
+        _sample.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_identity(side, side, 1024, Word((1,)), samples=20)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.equal and held < 8 << 20
+        assert _sample.cache_info().currsize == 0
 
 
 class TestLazyDegrees:

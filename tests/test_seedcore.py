@@ -317,7 +317,7 @@ def _dense_initial_matrix(lt, word):
     s = {k: min((j for j in same(k) if j > k), default=m + 1) for k in range(1, m + 1)}
 
     def entry(j, k):
-        a = cm.entry(letters[j - 1], letters[k - 1])
+        a = cm[letters[j - 1] - 1][letters[k - 1] - 1]
         if j == p[k]:
             return 1
         if j == s[k]:

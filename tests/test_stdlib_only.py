@@ -176,7 +176,6 @@ TEST_ONLY = {
     "evaluate",
     "lift_degree",
     "max_B_words",
-    "pairing",
     "seed_to_json",
     "two_step_A_words",
     "word_length",

@@ -41,9 +41,9 @@ def commutation_moves(lt, word, steps=STEPS, rng_seed=1):
         for p, (i, j) in enumerate(zip(letters, letters[1:])):
             if i == j:
                 continue
-            if cm.entry(i, j) == 0:
+            if cm[i - 1][j - 1] == 0:
                 moves.append((p, (j, i)))
-            elif cm.entry(i, j) * cm.entry(j, i) == 1 and letters[p + 2 : p + 3] == [i]:
+            elif cm[i - 1][j - 1] * cm[j - 1][i - 1] == 1 and letters[p + 2 : p + 3] == [i]:
                 moves.append((p, (j, i, j)))
         if not moves:
             break

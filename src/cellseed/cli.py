@@ -1,16 +1,18 @@
 """Command-line front end: cartan, w0, cellword, seed, mutate, lift, liftrel,
 flagseed and verify subcommands with text or JSON output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable
 from importlib import import_module
-from typing import Iterable, Optional
 
 from .fixtures import FIXTURE_SEEDS, Identity, load_seed, numbered_identities, verify_fixture
 from .rootsys import (
@@ -338,17 +340,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the exit flush
+    except BrokenPipeError:
+        # The reader has gone, as with ``cellseed ... | head``: stop quietly.
+        # What stdout still buffers goes to devnull, so the interpreter's
+        # final flush raises nothing (the SIGPIPE note of the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ends
     except (CellSeedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

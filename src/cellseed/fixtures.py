@@ -7,14 +7,11 @@ an identity file's lines, parsing each when it is read.
 
 from __future__ import annotations
 
-from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Iterator
+import os
+from collections.abc import Iterable, Iterator
 
 from .rootsys import CellSeedError, Word
 from .seedcore import Seed, seed_from_json
-
-if TYPE_CHECKING:
-    from .oracle import MinorExpr
 
 FIXTURE_SEEDS = ("a5", "b3")
 
@@ -32,7 +29,9 @@ def load_seed(name: str) -> Seed:
     """
     if name not in FIXTURE_SEEDS:
         raise CellSeedError(f"unknown fixture seed {name!r}; have {FIXTURE_SEEDS}")
-    text = resources.files("cellseed.data").joinpath(f"{name}.json").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return seed_from_json(text)
 
 

@@ -21,14 +21,14 @@ the relation at k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
 
 from .rootsys import (
     CellSeedError,
     LieType,
     ParabolicConfig,
+    Record,
     Word,
     check_letters,
     prefix_weights,
@@ -40,15 +40,16 @@ class LiftDegreeError(CellSeedError):
     """The first acting letter lies outside J, so the element has no J-grading."""
 
 
-@dataclass(frozen=True)
-class MultiDegree:
+class MultiDegree(Record):
     """Nonnegative integer combination of fundamental weights indexed by J."""
 
     js: tuple[int, ...]
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.js) != len(self.coeffs):
+    def __init__(self, js, coeffs):
+        object.__setattr__(self, "js", js)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(js) != len(coeffs):
             raise CellSeedError("degree length mismatch")
 
     @classmethod
@@ -105,8 +106,7 @@ def degree_compare(a: MultiDegree, b: MultiDegree) -> str:
     return "incomparable"
 
 
-@dataclass(frozen=True)
-class MinorSymbol:
+class MinorSymbol(Record, uncompared=("word",)):
     """A generalized-minor symbol, identified by its fundamental index and weight.
 
     The generating word is retained for display but ignored by equality; two
@@ -116,7 +116,12 @@ class MinorSymbol:
 
     fund: int
     weight: tuple[int, ...]
-    word: Word = field(compare=False)
+    word: Word
+
+    def __init__(self, fund, weight, word):
+        object.__setattr__(self, "fund", fund)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "word", word)
 
     def sort_key(self):
         return (self.fund, self.weight)
@@ -142,8 +147,7 @@ def _product(factors: Iterable[tuple[str, int]]) -> str:
     return "·".join(f + (f"^{e}" if e > 1 else "") for f, e in factors) or "1"
 
 
-@dataclass(frozen=True)
-class LiftMonomial:
+class LiftMonomial(Record):
     """Product of flag-minor symbols, unit-minor powers and a unit denominator.
 
     ``degree`` is the declared multi-degree of the homogeneous element the
@@ -155,6 +159,12 @@ class LiftMonomial:
     den: tuple[tuple[int, int], ...]
     degree: MultiDegree
 
+    def __init__(self, num, unit, den, degree):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "degree", degree)
+
     def __str__(self) -> str:
         units = [(f"Δ{{w{j}}}", e) for j, e in self.unit]
         head = _product([(str(sym), e) for sym, e in self.num] + units)
@@ -163,8 +173,7 @@ class LiftMonomial:
         return head + " / " + _product((f"Δ{{w{i}}}", e) for i, e in self.den)
 
 
-@dataclass(frozen=True)
-class StripResult:
+class StripResult(Record):
     """Outcome of dropping trivially-acting prefix letters.
 
     ``start`` is the 1-based index of the first letter pairing nonzero with
@@ -176,6 +185,12 @@ class StripResult:
     j_star: int
     d: int
     stripped: Word
+
+    def __init__(self, start, j_star, d, stripped):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "j_star", j_star)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "stripped", stripped)
 
 
 def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
@@ -258,8 +273,7 @@ def _support_sum(
     return tuple(sums)
 
 
-@dataclass(frozen=True)
-class LiftedRelation:
+class LiftedRelation(Record):
     """Lifted exchange relation x~_k x~'_k = mu*M~ + nu*L~ at a mutable k."""
 
     k: int
@@ -268,12 +282,18 @@ class LiftedRelation:
     terms: tuple[LiftMonomial, LiftMonomial]
     degree: MultiDegree
 
+    def __init__(self, k, mu, nu, terms, degree):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "degree", degree)
+
     def __str__(self) -> str:
         return f"~x[{self.k}]·~x'[{self.k}] = {self.terms[0]} + {self.terms[1]}"
 
 
-@dataclass(frozen=True)
-class FlagSeed:
+class FlagSeed(Record, uncompared=("lifts",)):
     """Cell seed with the multi-degree and the cached lift of each variable.
 
     ``lifts`` holds the lift of each position, computed once by
@@ -283,8 +303,14 @@ class FlagSeed:
 
     base: Seed
     degrees: tuple[MultiDegree, ...]
-    lifts: tuple[Optional[LiftMonomial], ...] = field(compare=False, repr=False)
-    bhat_literal: bool = False
+    lifts: tuple[LiftMonomial | None, ...]
+    bhat_literal: bool
+
+    def __init__(self, base, degrees, lifts, bhat_literal=False):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "bhat_literal", bhat_literal)
 
     @cached_property
     def unit_frozen(self) -> tuple[MinorSymbol, ...]:
@@ -408,25 +434,29 @@ def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
 # Projection back to the cell
 
 
-@dataclass(frozen=True)
-class RestrictedMonomial:
+class RestrictedMonomial(Record):
     """Product of restricted minors, the lift's symbols printed with D."""
 
     factors: tuple[tuple[MinorSymbol, int], ...]
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self) -> str:
         return _product((sym.render("D"), e) for sym, e in self.factors)
 
 
-@dataclass(frozen=True)
-class RestrictedSum:
+class RestrictedSum(Record):
     terms: tuple[RestrictedMonomial, ...]
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms)
 
 
-def project(x: Union[LiftMonomial, LiftedRelation]) -> Union[RestrictedMonomial, RestrictedSum]:
+def project(x: LiftMonomial | LiftedRelation) -> RestrictedMonomial | RestrictedSum:
     """Set every unit minor to 1; the other factors keep their symbols.  Every
     num the package builds is sorted with distinct symbols, so nothing merges."""
     if isinstance(x, LiftedRelation):

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
 
-from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, Word
+from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, Record, Word
 
 Mat = tuple[tuple[Fraction, ...], ...]
 #: integer columns of a sample, each as (denominator, numerators of rows 1..c)
@@ -158,19 +157,20 @@ def cell_sample(n: int, word: Word, rng_seed: int) -> Mat:
     )
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """Row and column index sets of a minor, 1-based and sorted."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols):
+    def __init__(self, rows, cols):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        if len(rows) != len(cols):
             raise CellSeedError(f"minor must be square, got {self}")
-        if any(i < 1 for i in self.rows + self.cols):
+        if any(i < 1 for i in rows + cols):
             raise CellSeedError(f"minor indices start at 1, got {self}")
-        for idx in (self.rows, self.cols):
+        for idx in (rows, cols):
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise CellSeedError(f"minor indices must strictly increase, got {self}")
 
@@ -276,7 +276,7 @@ def edagger_degree(spec: MinorSpec, j: int, mat: Mat, side: str = "left") -> int
 
 def _t_coefficient(
     spec: MinorSpec, j: int, n: int, side: str
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Rows and columns of the t-coefficient of ``edagger_degree``, or None if it is 0."""
     if side not in ("left", "right"):
         raise CellSeedError(f"unknown side {side!r}")
@@ -331,11 +331,13 @@ Term = tuple[int, tuple[tuple[MinorSpec, int], ...]]
 MAX_TERM_DEGREE = 32
 
 
-@dataclass(frozen=True)
-class MinorExpr:
+class MinorExpr(Record):
     """Integer combination of products of minors."""
 
     terms: tuple[Term, ...]
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     def check_bounds(self, n: int) -> None:
         """Minors fit an n x n matrix, powers are >= 0 and term degrees <= MAX_TERM_DEGREE."""
@@ -387,15 +389,21 @@ def restricted_to_expr(terms: Iterable[Iterable[tuple[object, int]]]) -> MinorEx
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """On a FAIL, the sample is ``cell_sample(n, cell_word, rng_seed + failed_index)``."""
 
     equal: bool
     samples: int
-    failed_index: Optional[int] = None
-    lhs_value: Optional[Fraction] = None
-    rhs_value: Optional[Fraction] = None
+    failed_index: int | None
+    lhs_value: Fraction | None
+    rhs_value: Fraction | None
+
+    def __init__(self, equal, samples, failed_index=None, lhs_value=None, rhs_value=None):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "failed_index", failed_index)
+        object.__setattr__(self, "lhs_value", lhs_value)
+        object.__setattr__(self, "rhs_value", rhs_value)
 
     def __str__(self) -> str:
         if self.equal:

@@ -24,9 +24,9 @@ word for w_0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Optional
+from operator import attrgetter
 
 
 class CellSeedError(ValueError):
@@ -59,14 +59,49 @@ MAX_TABLE_ENTRIES = 1 << 24
 _TYPE_MEMO = 64
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
+class Record:
+    """Base of the package's value classes: an immutable record of fields.
+
+    A subclass annotates its fields in order and sets each once in its
+    ``__init__`` with ``object.__setattr__``; afterwards assignment and
+    deletion raise.  Equality, the hash and the repr read every field but
+    those named in the class keyword ``uncompared``, and objects of two
+    classes are never equal.
+    """
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared = tuple(f for f in cls.__annotations__ if f not in uncompared)
+        cls._key = attrgetter(*cls._compared)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LieType(Record):
     """A finite Cartan-Killing type such as A5 or B3."""
 
     family: str
     rank: int
 
-    def __post_init__(self):
+    def __init__(self, family, rank):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
         if self.family not in _RANK_BOUNDS:
             raise InvalidTypeError(f"unknown family {self.family!r}")
         lo, hi = _RANK_BOUNDS[self.family]
@@ -109,11 +144,13 @@ def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, a))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A word in the simple reflections, stored as its letter sequence."""
 
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
+
+    def __init__(self, letters=()):
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -153,24 +190,22 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class ParabolicConfig:
+class ParabolicConfig(Record):
     """A splitting of the vertex set into J and its complement K."""
 
     rank: int
     j_set: tuple[int, ...]
-    k_set: tuple[int, ...] = field(init=False)
+    k_set: tuple[int, ...]
 
-    def __post_init__(self):
-        js = tuple(sorted(set(self.j_set)))
+    def __init__(self, rank, j_set):
+        js = tuple(sorted(set(j_set)))
         if not js:
             raise CellSeedError("J must be nonempty")
-        if js[0] < 1 or js[-1] > self.rank:
-            raise CellSeedError(f"J {js} not within 1..{self.rank}")
+        if js[0] < 1 or js[-1] > rank:
+            raise CellSeedError(f"J {js} not within 1..{rank}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "j_set", js)
-        object.__setattr__(
-            self, "k_set", tuple(i for i in range(1, self.rank + 1) if i not in js)
-        )
+        object.__setattr__(self, "k_set", tuple(i for i in range(1, rank + 1) if i not in js))
 
     @classmethod
     def from_j(cls, lie_type: LieType, j_set: Iterable[int]) -> "ParabolicConfig":
@@ -230,7 +265,7 @@ def root_supports(lie_type: LieType) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(sorted(col.items())) for col in cols)
 
 
-def _multiple_bond(lie_type: LieType) -> Optional[tuple[int, int, int]]:
+def _multiple_bond(lie_type: LieType) -> tuple[int, int, int] | None:
     """(row l, column i, a[l][i]) at the one multiple bond, 1-based; alpha_i is long."""
     n = lie_type.rank
     bond = {"B": (n, n - 1, -2), "C": (n - 1, n, -2), "F": (3, 2, -2), "G": (1, 2, -3)}
@@ -346,7 +381,7 @@ def is_reduced(lie_type: LieType, word: Word) -> bool:
     return all(step > 0 for step in _length_steps(lie_type, word))
 
 
-def reduced_violation(lie_type: LieType, word: Word) -> Optional[int]:
+def reduced_violation(lie_type: LieType, word: Word) -> int | None:
     """First position (1-based) where the running length drops, or None."""
     for pos, step in enumerate(_length_steps(lie_type, word), start=1):
         if step < 0:

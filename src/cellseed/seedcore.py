@@ -10,15 +10,14 @@ word and the history, and a seed file is checked against that derivation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Union
 
 from .rootsys import (
     MAX_TABLE_ENTRIES,
     CellSeedError,
     LieType,
     ParabolicConfig,
+    Record,
     Word,
     reduced_violation,
     root_supports,
@@ -42,16 +41,19 @@ def require_reduced(lie_type: LieType, word: Word) -> None:
         raise NonReducedWordError(word, pos)
 
 
-@dataclass(frozen=True)
-class SeedIndexData:
+class SeedIndexData(Record):
     """Predecessor/successor positions of a word.
 
     ``p[k-1]`` is the largest j < k with the same letter (None if absent),
     ``s[k-1]`` the smallest j > k (None if the letter never reoccurs).
     """
 
-    p: tuple[Optional[int], ...]
-    s: tuple[Optional[int], ...]
+    p: tuple[int | None, ...]
+    s: tuple[int | None, ...]
+
+    def __init__(self, p, s):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
 
     def frozen_positions(self) -> tuple[int, ...]:
         return tuple(k for k, sk in enumerate(self.s, start=1) if sk is None)
@@ -63,8 +65,8 @@ class SeedIndexData:
 def successor_maps(word: Word) -> SeedIndexData:
     letters = word.letters
     m = len(letters)
-    p: list[Optional[int]] = [None] * m
-    s: list[Optional[int]] = [None] * m
+    p: list[int | None] = [None] * m
+    s: list[int | None] = [None] * m
     last: dict[int, int] = {}
     for k in range(1, m + 1):
         i = letters[k - 1]
@@ -75,19 +77,21 @@ def successor_maps(word: Word) -> SeedIndexData:
     return SeedIndexData(tuple(p), tuple(s))
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class ExchangeMatrix(Record):
     """Extended exchange matrix with labeled rows and columns."""
 
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
+    def __init__(self, row_labels, col_labels, entries):
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != len(row_labels):
             raise CellSeedError("row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
+        for row in entries:
+            if len(row) != len(col_labels):
                 raise CellSeedError("column count does not match column labels")
 
     @property
@@ -195,32 +199,36 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
     return ExchangeMatrix(row_labels, mutable, entries)
 
 
-@dataclass(frozen=True)
-class MinorLabel:
+class MinorLabel(Record):
     """Initial variable at a position: fundamental index and prefix word."""
 
     fund: int
     prefix: Word
 
+    def __init__(self, fund, prefix):
+        object.__setattr__(self, "fund", fund)
+        object.__setattr__(self, "prefix", prefix)
+
     def __str__(self) -> str:
         return f"D{{w{self.fund},({self.prefix})}}"
 
 
-@dataclass(frozen=True)
-class MutationLabel:
+class MutationLabel(Record):
     """Variable produced by mutation, tagged with the mutation path."""
 
     path: tuple[int, ...]
+
+    def __init__(self, path):
+        object.__setattr__(self, "path", path)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(k) for k in self.path) + ")"
 
 
-Label = Union[MinorLabel, MutationLabel]
+Label = MinorLabel | MutationLabel
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """A cell seed: its reduced word, exchange matrix and mutation history.
 
     Position k carries the prefix minor D{w_{i_k}, w_{<=k}}, or the path
@@ -232,7 +240,14 @@ class Seed:
     cfg: ParabolicConfig
     word: Word
     matrix: ExchangeMatrix
-    history: tuple[int, ...] = ()
+    history: tuple[int, ...]
+
+    def __init__(self, lie_type, cfg, word, matrix, history=()):
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "history", history)
 
     @cached_property
     def labels(self) -> tuple[Label, ...]:
@@ -276,7 +291,9 @@ def exchange_binomial(seed: Seed, k: int) -> tuple[tuple[int, ...], tuple[int, .
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Mutate at k: matrix per the exchange rule, k appended to the history."""
-    return replace(seed, matrix=seed.matrix.mutate(k), history=seed.history + (k,))
+    return Seed(
+        seed.lie_type, seed.cfg, seed.word, seed.matrix.mutate(k), seed.history + (k,)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,35 @@ def run_proc(*argv, stdin=""):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("w0", "A30"),  # 1 KiB, written by the last flush
+        ("flagseed", "A14", "--J", "1,7"),  # 17 KiB, past the 8 KiB buffer
+        ("mutate", "--fixture", "b3", "--interactive"),  # the prompt flushes
+    ],
+    ids=["small", "large", "interactive"],
+)
+def test_closed_stdout_stops_quietly(argv):
+    """A reader that has gone, as in ``cellseed ... | head``, ends a command
+    with exit code 141 and nothing on stderr: no ``error:`` line and no
+    traceback from the interpreter's final flush."""
+    # stdout is buffered here, as it is for a user, whatever this process runs with
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cellseed.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": PACKAGE_PATH},
+    )
+    proc.stdout.close()  # before the child can write: every write meets EPIPE
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 ROOT = Path(__file__).resolve().parents[1]
 B3_ARGS = ("B3", "--J", "3", "--word", "3,2,1,3,2,3")
 A5_ARGS = ("A5", "--J", "1,3", "--word", "1,2,3,4,5,2,3,4,1,2,3")

@@ -14,7 +14,7 @@ import cellseed
 #: the names the package exports, by the layer module that defines each
 PUBLIC = {
     "rootsys": [
-        "CellSeedError", "InvalidTypeError", "LieType", "ParabolicConfig", "Word",
+        "CellSeedError", "InvalidTypeError", "LieType", "ParabolicConfig", "Record", "Word",
         "apply_word", "cartan_matrix", "cell_word", "longest_word", "max_B_words",
         "parse_subset", "reflect", "symmetrizers", "two_step_A_words", "word_length",
     ],
@@ -40,10 +40,10 @@ SRC = str(Path(cellseed.__file__).resolve().parents[1])
 PACKAGE_PATH = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
-def _fresh(code):
-    """What ``code`` prints in a fresh interpreter."""
+def _fresh(code, *flags):
+    """What ``code`` prints in a fresh interpreter started with ``flags``."""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": PACKAGE_PATH},
@@ -54,7 +54,7 @@ def _fresh(code):
 
 def test_every_public_name_is_listed_once():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 54
 
 
 @pytest.mark.parametrize(
@@ -109,3 +109,15 @@ def test_a_submodule_loads_only_the_layers_it_imports(module, loaded):
     # a submodule name is returned as the submodule before any layer is
     # searched for an attribute of that name
     assert _fresh(f"import sys; from cellseed import {module}; {LOADED}") == loaded
+
+
+def test_commands_start_without_heavy_stdlib_modules():
+    # dataclasses brings in inspect, ast, dis and tokenize; -S keeps out what
+    # an installation's site and .pth files import
+    code = (
+        "import sys, cellseed.cli, cellseed.lift, cellseed.oracle, cellseed.exprlang\n"
+        "cellseed.fixtures.load_seed('a5')\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'tokenize', 'typing', 'importlib.resources')\n"
+        "print('loaded:', *[m for m in heavy if m in sys.modules])"
+    )
+    assert _fresh(code, "-S") == ["loaded:"]

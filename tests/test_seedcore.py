@@ -145,9 +145,7 @@ class TestMutation:
         assert s2.label(1) == MutationLabel((1,))
 
     def test_seed_is_word_matrix_history(self, seed_b3):
-        from dataclasses import fields
-
-        assert [f.name for f in fields(Seed)] == ["lie_type", "cfg", "word", "matrix", "history"]
+        assert list(Seed.__annotations__) == ["lie_type", "cfg", "word", "matrix", "history"]
         s = mutate_seed(mutate_seed(mutate_seed(seed_b3, 1), 2), 1)
         assert s.history == (1, 2, 1)
         assert s.label(1) == MutationLabel((1, 2, 1))
@@ -175,9 +173,7 @@ class TestExchangeBinomial:
         m = ExchangeMatrix((1, 2), (1,), ((0,), (0,)))
         lt = LieType.parse("A2")
         seed = initial_seed(lt, ParabolicConfig.from_j(lt, (1,)), Word((1, 2)))
-        from dataclasses import replace
-
-        seed = replace(seed, matrix=m)
+        seed = Seed(seed.lie_type, seed.cfg, seed.word, m, seed.history)
         assert exchange_binomial(seed, 1) == ((0, 0), (0, 0))
 
 

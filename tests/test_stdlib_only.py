@@ -40,6 +40,22 @@ def test_package_imports_only_stdlib():
     assert outside == []
 
 
+def test_package_generates_no_code():
+    # the value classes are plain classes on rootsys.Record, so no module
+    # imports dataclasses or builds code while it runs
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [name for _, name in _imports(path) if name.split(".")[0] == "dataclasses"]
+        found += [
+            node.func.id
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")
+        ]
+    assert found == []
+
+
 def test_only_the_oracle_imports_fractions():
     # every other module computes with integers; rootsys reads the Cartan
     # symmetrizers off the Dynkin diagram, with no lcm/gcd normalisation
@@ -217,9 +233,19 @@ def test_every_function_is_reached_outside_tests():
 
 def _members_and_attributes(path):
     """Each (class, member) a file defines, dunders aside: methods, properties
-    and dataclass fields; and every attribute or string the file reads."""
+    and record fields; and every attribute or string the file reads.  The
+    field name an ``__init__`` passes to ``object.__setattr__`` sets the
+    field, so it is no read."""
     tree = ast.parse(path.read_text(), filename=str(path))
     members, read = set(), set()
+    setters = {
+        id(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and len(node.args) > 1
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -230,7 +256,8 @@ def _members_and_attributes(path):
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            read.add(node.value)
+            if id(node) not in setters:
+                read.add(node.value)
     return {m for m in members if not m[1].startswith("__")}, read
 
 

@@ -127,8 +127,8 @@ class MinorSymbol(Record, uncompared=("word",)):
         return (self.fund, self.weight)
 
     def is_unit(self) -> bool:
-        c = self.weight
-        return 0 < self.fund <= len(c) and c[self.fund - 1] == 1 and c.count(0) == len(c) - 1
+        c, i = self.weight, self.fund
+        return 0 < i <= len(c) and c[i - 1] == 1 and c.count(0) == len(c) - 1
 
     def render(self, letter: str = "Δ") -> str:
         if self.is_unit():
@@ -193,19 +193,26 @@ class StripResult(Record):
         object.__setattr__(self, "stripped", stripped)
 
 
-def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
-    """Strip data of the k-th prefix of ``word`` from its weight W.
+def _first_acting(letters: tuple[int, ...], weight: tuple[int, ...]) -> tuple[int, int]:
+    """(t, d) for a prefix of ``letters`` of weight W: letter t (0-based) acts first.
 
     Letters left of the first acting one fix the weight of the suffix after
     them, so that letter l is the first of the prefix with W[l] != 0, and it
-    pairs -W[l] with the weight of the suffix after it.
+    pairs d = -W[l] with the weight of the suffix after it.
     """
+    for t, l in enumerate(letters):
+        if weight[l - 1]:
+            d = -weight[l - 1]
+            if d < 0:
+                raise CellSeedError("negative pairing on a reduced word")
+            return t, d
+
+
+def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
+    """Strip data of the k-th prefix of ``word`` from its weight."""
     letters = word.letters
-    start = next(t for t in range(1, k + 1) if weight[letters[t - 1] - 1])
-    d = -weight[letters[start - 1] - 1]
-    if d < 0:
-        raise CellSeedError("negative pairing on a reduced word")
-    return StripResult(start, letters[start - 1], d, Word(letters[start - 1 : k]))
+    t, d = _first_acting(letters, weight)
+    return StripResult(t + 1, letters[t], d, Word(letters[t:k]))
 
 
 def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
@@ -250,10 +257,7 @@ def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> 
         sym = MinorSymbol(i, weight, word.prefix(k))
         return LiftMonomial(((sym, 1),), (), (), MultiDegree.fundamental(cfg.j_set, i))
     res = _strip_result(word, k, weight)
-    if res.j_star not in cfg.j_set:
-        raise LiftDegreeError(
-            f"first acting letter {res.j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
-        )
+    _require_in_j(cfg, word, k, res.j_star)
     sym = MinorSymbol(i, weight, res.stripped)
     return LiftMonomial(
         ((sym, 1),),
@@ -263,14 +267,11 @@ def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> 
     )
 
 
-def _support_sum(
-    degrees: Sequence[MultiDegree], support: list[tuple[int, int]], width: int
-) -> tuple[int, ...]:
-    """Coefficients of the sum of e*degrees[pos-1] over the (pos, e) in ``support``."""
-    sums = [0] * width
-    for pos, e in support:
-        sums = [s + e * c for s, c in zip(sums, degrees[pos - 1].coeffs)]
-    return tuple(sums)
+def _require_in_j(cfg: ParabolicConfig, word: Word, k: int, j_star: int) -> None:
+    if j_star not in cfg.j_set:
+        raise LiftDegreeError(
+            f"first acting letter {j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
+        )
 
 
 class LiftedRelation(Record):
@@ -348,50 +349,59 @@ def position_lift(seed: Seed, k: int) -> LiftMonomial:
     return _lift(seed.cfg, prefix, k, prefix_weights(seed.lie_type, prefix)[-1])
 
 
-def _relation_exponents(fs: FlagSeed, k: int) -> tuple:
-    """Supports of M_k and L_k from the nonzero entries of column k, in
-    position order, then deg M, deg L and the unit powers alpha, beta that
-    lift both to top = max(deg M, deg L), all five as int tuples over J."""
-    m_support, l_support = fs.base.matrix.binomial_supports(k)
+def _degree_sums(fs: FlagSeed, k: int) -> tuple[list[int], list[int]]:
+    """deg M_k and deg L_k over J, summed over one read of column k."""
     width = len(fs.base.cfg.j_set)
-    d_m, d_l = (_support_sum(fs.degrees, sup, width) for sup in (m_support, l_support))
-    top = tuple(map(max, d_m, d_l))
-    alpha, beta = (tuple(t - x for t, x in zip(top, d)) for d in (d_m, d_l))
-    return m_support, l_support, d_m, d_l, top, alpha, beta
+    sums: tuple[list[int], list[int]] = ([0] * width, [0] * width)
+    for pos, b in fs.base.matrix.column(k):
+        deg, e = sums[b < 0], abs(b)
+        for t, c in enumerate(fs.degrees[pos - 1].coeffs):
+            deg[t] += e * c
+    return sums
 
 
 def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
-    """Lift the exchange relation at k; unit powers balance the two degrees."""
-    m_support, l_support, d_m, d_l, top, alpha, beta = _relation_exponents(fs, k)
-    for pos, _ in m_support + l_support:
-        _require_minor(fs.base, pos)
-    js = fs.base.cfg.j_set
-    degree = MultiDegree(js, top)
+    """Lift the exchange relation at k; unit powers balance the two degrees.
 
-    def term(support: list[tuple[int, int]], units: tuple[int, ...]) -> LiftMonomial:
-        num, unit, den = [], {j: e for j, e in zip(js, units) if e}, {}
-        for pos, e in support:
-            lift = fs.lifts[pos - 1]
-            num.append((lift.num[0][0], e))
-            for j, x in lift.unit:
-                unit[j] = unit.get(j, 0) + e * x
-            for i, x in lift.den:
-                den[i] = den.get(i, 0) + e * x
+    One pass over column k sums deg M and deg L and gathers each term's
+    symbols, unit and den powers from the lifts at its support.
+    """
+    seed = fs.base
+    column = seed.matrix.column(k)
+    if seed.history:  # name a mutated support position, M_k's side first
+        for pos, _ in sorted(column, key=lambda pair: pair[1] < 0):
+            _require_minor(seed, pos)
+    js = seed.cfg.j_set
+    width = len(js)
+    sides = ([0] * width, [], {}, {}), ([0] * width, [], {}, {})  # degree, num, unit, den
+    for pos, b in column:
+        deg, num, unit, den = sides[b < 0]
+        e = abs(b)
+        for t, c in enumerate(fs.degrees[pos - 1].coeffs):
+            deg[t] += e * c
+        lift = fs.lifts[pos - 1]
+        num.append((lift.num[0][0], e))
+        for j, x in lift.unit:
+            unit[j] = unit.get(j, 0) + e * x
+        for i, x in lift.den:
+            den[i] = den.get(i, 0) + e * x
+    top = tuple(map(max, sides[0][0], sides[1][0]))
+    degree = MultiDegree(js, top)
+    powers, terms = [], []
+    for deg, num, unit, den in sides:
+        units = tuple(t - x for t, x in zip(top, deg))
+        for j, e in zip(js, units):
+            if e:
+                unit[j] = unit.get(j, 0) + e
         # Positions p < q of a reduced word with one letter i differ in weight:
         # letters p+1..q form a reduced word ending in i, which moves w_i.  So
         # the sort keys differ and nothing merges.
         num.sort(key=_symbol_order)
-        return LiftMonomial(
-            tuple(num),
-            tuple(sorted(unit.items())),
-            tuple(sorted(den.items())),
-            degree,
+        powers.append(MultiDegree(js, units))
+        terms.append(
+            LiftMonomial(tuple(num), tuple(sorted(unit.items())), tuple(sorted(den.items())), degree)
         )
-
-    assert all(min(a, b) == 0 for a, b in zip(alpha, beta))
-    assert all(m + a == t == l + b for m, a, l, b, t in zip(d_m, alpha, d_l, beta, top))
-    terms = (term(m_support, alpha), term(l_support, beta))
-    return LiftedRelation(k, MultiDegree(js, alpha), MultiDegree(js, beta), terms, degree)
+    return LiftedRelation(k, powers[0], powers[1], tuple(terms), degree)
 
 
 def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
@@ -403,25 +413,38 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
     switch negates it, which selects beta_j when nonzero, else -alpha_j,
     since one of alpha_j and beta_j is 0.
     """
-    *_, alpha, beta = _relation_exponents(fs, k)
+    d_m, d_l = _degree_sums(fs, k)
     sign = -1 if fs.bhat_literal else 1
-    return tuple(sign * (a - b) for a, b in zip(alpha, beta))
+    return tuple(sign * (l - m) for m, l in zip(d_m, d_l))
 
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
     """Extend a cell seed by the lift and lift degree of each position, all
-    read from one pass of prefix weights."""
-    lifts = []
-    for k, weight in enumerate(prefix_weights(seed.lie_type, seed.word), start=1):
-        _require_minor(seed, k)
-        lifts.append(_lift(seed.cfg, seed.word, k, weight))
+    read from one pass of prefix weights.  Each prefix is stripped as in
+    ``_lift``, inline, and positions share one degree d*w_j per (j, d)."""
+    cfg, word = seed.cfg, seed.word
+    letters, js = word.letters, cfg.j_set
+    lifts, degrees = [], {}
+    for k, weight in enumerate(prefix_weights(seed.lie_type, word), start=1):
+        if k in seed.history:
+            _require_minor(seed, k)
+        i = letters[k - 1]
+        if i in js:
+            t, j, d, unit, den = 0, i, 1, (), ()
+        else:
+            t, d = _first_acting(letters, weight)
+            j, unit, den = letters[t], ((letters[t], d),), ((i, 1),)
+            _require_in_j(cfg, word, k, j)
+        degree = degrees.get((j, d)) or degrees.setdefault((j, d), MultiDegree.fundamental(js, j, d))
+        sym = MinorSymbol(i, weight, Word(letters[t:k]))
+        lifts.append(LiftMonomial(((sym, 1),), unit, den, degree))
     return FlagSeed(seed, tuple(lift.degree for lift in lifts), tuple(lifts), bhat_literal)
 
 
 def mutate_flag_seed(fs: FlagSeed, k: int) -> FlagSeed:
     """Mutate the base seed; the degree at k flips to max(deg M, deg L) - deg x_k,
     the one step of a walk that can leave the monoid."""
-    top = _relation_exponents(fs, k)[4]
+    top = tuple(map(max, *_degree_sums(fs, k)))
     new_seed = mutate_seed(fs.base, k)
     degrees = list(fs.degrees)
     degrees[k - 1] = MultiDegree(fs.base.cfg.j_set, top) - fs.degree(k)
@@ -460,8 +483,8 @@ def project(x: LiftMonomial | LiftedRelation) -> RestrictedMonomial | Restricted
     """Set every unit minor to 1; the other factors keep their symbols.  Every
     num the package builds is sorted with distinct symbols, so nothing merges."""
     if isinstance(x, LiftedRelation):
-        return RestrictedSum(tuple(project(t) for t in x.terms))
-    return RestrictedMonomial(tuple((sym, e) for sym, e in x.num if not sym.is_unit()))
+        return RestrictedSum(tuple(map(project, x.terms)))
+    return RestrictedMonomial(tuple([f for f in x.num if not f[0].is_unit()]))
 
 
 def flag_seed_to_dict(fs: FlagSeed) -> dict:

@@ -10,7 +10,9 @@ word and the history, and a seed file is checked against that derivation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import cached_property
+from itertools import compress
 
 from .rootsys import (
     MAX_TABLE_ENTRIES,
@@ -77,66 +79,94 @@ def successor_maps(word: Word) -> SeedIndexData:
     return SeedIndexData(tuple(p), tuple(s))
 
 
-class ExchangeMatrix(Record):
-    """Extended exchange matrix with labeled rows and columns."""
+class ExchangeMatrix(Record, uncompared=("entries",)):
+    """Extended exchange matrix with labeled rows and columns.
+
+    Each column is kept as its nonzero (row label, entry) pairs in label
+    order, so reading a column or mutating costs the nonzeros it touches.
+    ``entries`` are the dense rows: those given to the constructor, else a
+    view built on first read, within the table budget.  Equality and the
+    hash read the labels and the columns.
+    """
 
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __init__(self, row_labels, col_labels, entries):
+    def __init__(self, row_labels, col_labels, entries=None, columns=None):
         object.__setattr__(self, "row_labels", row_labels)
         object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != len(row_labels):
-            raise CellSeedError("row count does not match row labels")
-        for row in entries:
-            if len(row) != len(col_labels):
-                raise CellSeedError("column count does not match column labels")
+        if columns is None:
+            if len(entries) != len(row_labels):
+                raise CellSeedError("row count does not match row labels")
+            for row in entries:
+                if len(row) != len(col_labels):
+                    raise CellSeedError("column count does not match column labels")
+            object.__setattr__(self, "entries", entries)
+            rows = sorted(zip(row_labels, entries))
+            labels = [j for j, _ in rows]
+            columns = tuple(
+                tuple(zip(compress(labels, col), filter(None, col)))
+                for col in zip(*(row for _, row in rows))
+            ) or ((),) * len(col_labels)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
 
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        rows, cols = self.shape
+        if rows * cols > MAX_TABLE_ENTRIES:
+            raise CellSeedError(
+                f"a {rows}x{cols} exchange matrix is past the budget "
+                f"of {MAX_TABLE_ENTRIES} table entries"
+            )
+        dense = {j: [0] * cols for j in self.row_labels}
+        for c, column in enumerate(self.columns):
+            for j, b in column:
+                dense[j][c] = b
+        return tuple(tuple(dense[j]) for j in self.row_labels)
+
     def entry(self, j: int, k: int) -> int:
         """Entry b_{jk} addressed by position labels."""
-        return self.entries[self.row_labels.index(j)][self.col_labels.index(k)]
+        return dict(self.column(k)).get(j, 0)
 
-    def column(self, k: int) -> dict[int, int]:
-        """The nonzero entries of column k, keyed by row position."""
+    def _index(self, k: int) -> int:
         if k not in self.col_labels:
             raise CellSeedError(f"position {k} is not mutable")
-        c = self.col_labels.index(k)
-        return {j: row[c] for j, row in zip(self.row_labels, self.entries) if row[c]}
+        return self.col_labels.index(k)
+
+    def column(self, k: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero entries (j, b_jk) of column k, in position order."""
+        return self.columns[self._index(k)]
 
     def binomial_supports(self, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(position, |b_jk|) in position order, over b_jk > 0 (M_k) and b_jk < 0 (L_k)."""
-        m_support: list[tuple[int, int]] = []
-        l_support: list[tuple[int, int]] = []
-        for j, b in sorted(self.column(k).items()):
-            (m_support if b > 0 else l_support).append((j, abs(b)))
-        return m_support, l_support
+        col = self.column(k)
+        return [(j, b) for j, b in col if b > 0], [(j, -b) for j, b in col if b < 0]
 
     def principal_part(self) -> tuple[tuple[int, ...], ...]:
-        rows = {j: row for j, row in zip(self.row_labels, self.entries)}
-        return tuple(tuple(rows[j]) for j in self.col_labels)
+        rows = dict(zip(self.row_labels, self.entries))
+        return tuple(rows[j] for j in self.col_labels)
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation at the mutable position k.  Row k is negated and only the
-        rows with b_ik != 0 are rewritten; every other row is kept as it is."""
-        if k not in self.col_labels:
-            raise CellSeedError(f"position {k} is not mutable")
-        ck = self.col_labels.index(k)
-        rk = self.row_labels.index(k)
-        krow = self.entries[rk]
-        rows = list(self.entries)
-        rows[rk] = tuple(-b for b in krow)
-        for r, row in enumerate(self.entries):
-            if (bik := row[ck]) and r != rk:
-                new = [b + (abs(bik) * bkj + bik * abs(bkj)) // 2 for b, bkj in zip(row, krow)]
-                new[ck] = -bik
-                rows[r] = tuple(new)
-        return ExchangeMatrix(self.row_labels, self.col_labels, tuple(rows))
+        """Matrix mutation at the mutable position k.  Column k is negated and only
+        the columns j with b_kj != 0 are rewritten; every other column is kept."""
+        ck = self._index(k)
+        kcol = self.columns[ck]
+        cols = list(self.columns)
+        for c, bkj in [(c, b) for c, col in enumerate(cols) for j, b in col if j == k]:
+            new = dict(cols[c])
+            new[k] = -bkj
+            for i, bik in kcol:
+                if i != k:
+                    new[i] = new.get(i, 0) + (abs(bik) * bkj + bik * abs(bkj)) // 2
+            cols[c] = tuple(sorted(p for p in new.items() if p[1]))
+        cols[ck] = tuple((i, -b) for i, b in kcol)
+        return ExchangeMatrix(self.row_labels, self.col_labels, columns=tuple(cols))
 
     def render(self) -> str:
         """Block layout with row labels, mutable rows above a separator."""
@@ -148,12 +178,12 @@ def render_rows(cols: tuple[int, ...], rows: list, rule_at: int) -> list[str]:
     """A header of ``cols``, then a line "label ( entries )" per (label, entries)
     of ``rows``, a rule line before row ``rule_at``, all right-aligned to one width."""
     width = max([len(str(x)) for x in cols] + [len(str(x)) for _, row in rows for x in row] + [1])
-    lines = ["    " + " ".join(f"{c:>{width}}" for c in cols)]
+    cell = f"{{:>{width}}}".format
+    lines = ["    " + " ".join(map(cell, cols))]
     for r, (label, row) in enumerate(rows):
         if r == rule_at:
             lines.append("  " + "-" * (2 + (width + 1) * len(cols)))
-        body = " ".join(f"{x:>{width}}" for x in row)
-        lines.append(f"{label:>2} ( {body} )")
+        lines.append(f"{label:>2} ( {' '.join(map(cell, row))} )")
     return lines
 
 
@@ -177,26 +207,21 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
         at.setdefault(i, []).append(j)
 
     mutable = data.mutable_positions()
-    if len(letters) * len(mutable) > MAX_TABLE_ENTRIES:
-        raise CellSeedError(
-            f"a {len(letters)}x{len(mutable)} exchange matrix is past the budget "
-            f"of {MAX_TABLE_ENTRIES} table entries"
-        )
-    row_labels = mutable + data.frozen_positions()
-    rows = {j: [0] * len(mutable) for j in row_labels}
-    for c, k in enumerate(mutable):
-        i, sk = letters[k - 1], s[k - 1]
-        if data.p[k - 1] is not None:
-            rows[data.p[k - 1]][c] = 1
-        rows[sk][c] = -1
+    columns = []
+    for k in mutable:
+        i, pk, sk = letters[k - 1], data.p[k - 1], s[k - 1]
+        col = [(sk, -1)] if pk is None else [(pk, 1), (sk, -1)]
         for l, a in supports[i - 1]:  # a = a[l+1][i]; l+1 = i meets neither chain
-            for j in at.get(l + 1, ()):
+            if l + 1 in at:  # only the last l+1 before k, and before s(k), can chain
+                pos = at[l + 1]
+                j = pos[bisect_left(pos, k) - 1]
                 if j < k < s[j - 1] < sk:
-                    rows[j][c] = a
-                elif k < j < sk < s[j - 1]:
-                    rows[j][c] = -a
-    entries = tuple(tuple(rows[j]) for j in row_labels)
-    return ExchangeMatrix(row_labels, mutable, entries)
+                    col.append((j, a))
+                j = pos[bisect_left(pos, sk) - 1]
+                if k < j < sk < s[j - 1]:
+                    col.append((j, -a))
+        columns.append(tuple(sorted(col)))
+    return ExchangeMatrix(mutable + data.frozen_positions(), mutable, columns=tuple(columns))
 
 
 class MinorLabel(Record):
@@ -314,6 +339,7 @@ def _label_from_json(obj: dict) -> Label:
 
 
 def seed_to_dict(seed: Seed) -> dict:
+    entries = seed.matrix.entries  # past the table budget, this raises before labels are built
     return {
         "type": str(seed.lie_type),
         "J": list(seed.cfg.j_set),
@@ -323,7 +349,7 @@ def seed_to_dict(seed: Seed) -> dict:
         "matrix": {
             "rows": list(seed.matrix.row_labels),
             "cols": list(seed.matrix.col_labels),
-            "entries": [list(row) for row in seed.matrix.entries],
+            "entries": [list(row) for row in entries],
         },
         "history": list(seed.history),
     }
@@ -416,9 +442,10 @@ def seed_from_json(text: str) -> Seed:
 
 
 def render_seed(seed: Seed) -> str:
+    matrix = seed.matrix.render()  # past the table budget, this raises before labels are built
     lines = [f"seed {seed.lie_type}  J={{{','.join(map(str, seed.cfg.j_set))}}}  word {seed.word}"]
     for k in range(1, seed.size + 1):
         tag = "frozen" if seed.frozen_mask[k - 1] else "mutable"
         lines.append(f"  {k:>2}: {seed.labels[k - 1]}  ({tag})")
-    lines.append(seed.matrix.render())
+    lines.append(matrix)
     return "\n".join(lines)

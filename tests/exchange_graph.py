@@ -35,8 +35,8 @@ def cluster_count(matrix, limit=5000, rng_seed=0):
             column = b.column(k)
             new = []
             for v in values:
-                up = math.prod(v[i] ** e for i, e in column.items() if e > 0)
-                down = math.prod(v[i] ** -e for i, e in column.items() if e < 0)
+                up = math.prod(v[i] ** e for i, e in column if e > 0)
+                down = math.prod(v[i] ** -e for i, e in column if e < 0)
                 new.append({**v, k: (up + down) / v[k]})
             key = name(new)
             if key not in seen:

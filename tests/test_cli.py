@@ -148,6 +148,38 @@ class TestTableBudget:
             oracle.sampled_multidegree(MinorSpec((2,), (2,)), [1], 4097, Word((1,)))
 
 
+class TestDenseTableOnlyWherePrinted:
+    """A seed keeps its exchange columns sparse.  The dense table, and with it
+    the budget, comes in only where a command prints the matrix."""
+
+    J91 = ",".join(map(str, range(1, 92)))
+    PAST = "error: a 4186x4095 exchange matrix is past the budget of 16777216 table entries\n"
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_mutate_prints_the_matrix(self, capsys, fmt):
+        code, out, err = _run_small(capsys, "mutate", "A91", "--J", self.J91, "--seq", "1", *fmt)
+        assert (code, out, err) == (2, "", self.PAST)
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_flagseed_prints_the_matrix(self, capsys, fmt):
+        # the flag seed is built before the table is refused
+        code, out, err = run(capsys, "flagseed", "A91", "--J", self.J91, *fmt)
+        assert (code, out, err) == (2, "", self.PAST)
+
+    def test_lift_past_the_budget(self, capsys):
+        # w_K,0 w0 of A130 with J={1,65} has 4354 letters, 4224 of them mutable
+        code, out, err = run(capsys, "lift", "A130", "--J", "1,65", "--k", "5")
+        assert (code, err) == (0, "")
+        assert out == "~D{w5,(1,2,3,4,5)} = Δ{w5,(1,2,3,4,5)}·Δ{w1} / Δ{w5}   (degree w1)\n"
+
+    def test_liftrel_past_the_budget(self, capsys):
+        code, out, err = run(capsys, "liftrel", "A130", "--J", "1,65", "--k", "5", "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["k"], data["bhat_column"], data["degree"]) == (5, [0, 0], {"1": 1})
+        assert [t["degree"] for t in data["terms"]] == [{"1": 1}, {"1": 1}]
+
+
 class TestWords:
     def test_w0_parabolic(self, capsys):
         code, out, _ = run(capsys, "w0", "B3", "--subset", "{1,2}", "--json")

@@ -281,7 +281,7 @@ class TestBhatColumn:
             width = len(fs.base.cfg.j_set)
             literal = FlagSeed(fs.base, fs.degrees, fs.lifts, bhat_literal=True)
             for k in fs.base.mutable_positions():
-                column = fs.base.matrix.column(k).items()
+                column = fs.base.matrix.column(k)
                 want = tuple(
                     -sum(b * fs.degrees[i - 1].coeffs[r] for i, b in column) for r in range(width)
                 )
@@ -515,7 +515,7 @@ def _product_relation(fs, k):
     unit powers given as a unit monomial."""
     from cellseed.lift import LiftedRelation
 
-    column = sorted(fs.base.matrix.column(k).items())
+    column = sorted(fs.base.matrix.column(k))
     supports = ([(j, b) for j, b in column if b > 0], [(j, -b) for j, b in column if b < 0])
     for pos, _ in supports[0] + supports[1]:
         if fs.lifts[pos - 1] is None:
@@ -573,7 +573,7 @@ class TestRelationFromParts:
                 for k in fs.base.mutable_positions():
                     got, want = lift_relation(fs, k), _product_relation(fs, k)
                     assert got == want and str(got) == str(want), f"{lt} {word} J={{{j}}} k={k}"
-                    column = fs.base.matrix.column(k).items()
+                    column = fs.base.matrix.column(k)
                     powers += any(abs(b) > 1 and fs.lifts[p - 1].unit for p, b in column)
         assert powers
 

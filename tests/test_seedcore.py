@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,7 @@ from cellseed import (
     successor_maps,
 )
 from cellseed.fixtures import A5_WORD, B3_WORD
-from conftest import reduced_words
+from conftest import LADDER, reduced_words
 
 
 B3_MATRIX_ROWS = {
@@ -254,8 +255,8 @@ def _random_matrices(rng, count):
 
 
 class TestRowwiseMutation:
-    """mutate rewrites row k and the rows with b_ik != 0 only; the per-entry
-    rule is the oracle."""
+    """mutate rewrites column k and the columns with b_kj != 0 only; the
+    per-entry rule is the oracle."""
 
     def test_equals_per_entry_rule(self):
         rng = random.Random(17)
@@ -286,17 +287,19 @@ class TestRowwiseMutation:
                 mat = mat.mutate(k)
                 assert mat == want, f"{lt} {word} k={k}"
 
-    def test_rows_off_the_support_are_kept(self):
+    def test_columns_off_the_support_are_kept(self):
         rng = random.Random(20)
         mats = list(_random_matrices(rng, 200)) + [initial_matrix(LieType("B", 3), B3_WORD)]
         kept = 0
         for mat in mats:
             for k in mat.col_labels:
                 new = mat.mutate(k)
-                ck = mat.col_labels.index(k)
-                for j, old_row, new_row in zip(mat.row_labels, mat.entries, new.entries):
-                    if j != k and old_row[ck] == 0:
-                        assert new_row is old_row, (mat, k, j)
+                rk = mat.row_labels.index(k)
+                for j, krow_entry, old_col, new_col in zip(
+                    mat.col_labels, mat.entries[rk], mat.columns, new.columns
+                ):
+                    if j != k and krow_entry == 0:
+                        assert new_col is old_col, (mat, k, j)
                         kept += 1
         assert kept > 500
 
@@ -343,21 +346,81 @@ class TestSparseFill:
         for lt, word in self.WORDS[:40]:
             m = initial_matrix(lt, word)
             seed = initial_seed(lt, ParabolicConfig(lt.rank, (1,)), word)
-            for k in m.col_labels:
-                want = {j: m.entry(j, k) for j in m.row_labels if m.entry(j, k)}
+            rows = dict(zip(m.row_labels, m.entries))
+            for c, k in enumerate(m.col_labels):
+                want = tuple((j, rows[j][c]) for j in sorted(rows) if rows[j][c])
                 assert m.column(k) == want
                 m_expo, l_expo = exchange_binomial(seed, k)
                 assert {j: e for j, e in enumerate(m_expo, 1) if e} == {
-                    j: x for j, x in want.items() if x > 0
+                    j: x for j, x in want if x > 0
                 }
                 assert {j: e for j, e in enumerate(l_expo, 1) if e} == {
-                    j: -x for j, x in want.items() if x < 0
+                    j: -x for j, x in want if x < 0
                 }
 
     def test_column_of_frozen_position_rejected(self, seed_b3):
         for k in (3, 7):
             with pytest.raises(CellSeedError, match=f"position {k} is not mutable"):
                 seed_b3.matrix.column(k)
+
+
+def _dense_copy(mat):
+    return ExchangeMatrix(mat.row_labels, mat.col_labels, mat.entries)
+
+
+def _assert_agree(sparse, dense):
+    """Every read of a column-built matrix equals that of its dense copy;
+    ``entry`` is read at each nonzero and at the first row of each column."""
+    assert sparse.entries == dense.entries
+    for k in sparse.col_labels:
+        assert sparse.column(k) == dense.column(k)
+        assert sparse.binomial_supports(k) == dense.binomial_supports(k)
+        rows = [sparse.row_labels[0]] + [j for j, _ in dense.column(k)]
+        assert [sparse.entry(j, k) for j in rows] == [dense.entry(j, k) for j in rows]
+    assert sparse.principal_part() == dense.principal_part()
+    assert sparse.render() == dense.render()
+    assert sparse == dense and hash(sparse) == hash(dense)
+
+
+class TestSparseAgreesWithDense:
+    """The columns initial_matrix and mutate build read as the dense rows do,
+    on every benchmark ladder cell and five seeded 20-step walks from each."""
+
+    @pytest.mark.parametrize("family,rank,js", LADDER, ids=[f"{f}{n}" for f, n, _ in LADDER])
+    def test_ladder_walks(self, family, rank, js):
+        from cellseed import cell_word
+
+        lt = LieType(family, rank)
+        start = initial_matrix(lt, cell_word(lt, ParabolicConfig.from_j(lt, js)))
+        _assert_agree(start, _dense_copy(start))
+        for walk in range(5):
+            rng = random.Random(walk)
+            mat = start
+            for _ in range(20):
+                k = rng.choice(mat.col_labels)
+                want = _per_entry_mutate(_dense_copy(mat), k)
+                mat = mat.mutate(k)
+                assert mat == want, f"{lt} walk {walk} k={k}"
+                _assert_agree(mat, _dense_copy(mat))
+
+
+def test_initial_seed_allocates_no_dense_table():
+    # the A60 cell has 959 positions, 899 of them mutable, and 5 218 nonzero
+    # entries; building a dense table of them peaks at about 13 MiB
+    from cellseed import cell_word
+
+    lt = LieType("A", 60)
+    cfg = ParabolicConfig.from_j(lt, (1, 30))
+    word = cell_word(lt, cfg)
+    tracemalloc.start()
+    try:
+        seed = initial_seed(lt, cfg, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seed.matrix.shape == (959, 899)
+    assert sum(map(len, seed.matrix.columns)) == 5218
+    assert peak < 2 << 20
 
 
 class TestColumnCounts:

@@ -11,12 +11,11 @@ letter l with W[l] != 0.  Reducedness is checked where a word enters:
 ``lift_minor`` and ``strip_word`` check a bare word, a seed's word is checked
 once when the seed is made, and every prefix of a reduced word is reduced.
 A ``FlagSeed`` is its cell seed and the degree and lift of each position.
-``lift_relation`` reads the nonzero entries of one exchange column; deg M,
-deg L, their maximum and the unit powers are int tuples over J, and each term
-is built from the symbol, unit and den powers of the flag seed's lifts
-there.  The unit frozen variables and extension rows follow from the
-degrees, so they are derived when read, and a flag mutation computes only
-the relation at k.
+``lift_relation`` makes one pass over the sparse exchange column at k: it
+sums deg M and deg L over J and gathers each term's symbols, unit and den
+powers from the lifts there.  The unit frozen variables and extension rows
+follow from the degree sums, so they are derived when read, and a flag
+mutation reads only the column at k.
 """
 
 from __future__ import annotations
@@ -196,9 +195,8 @@ class StripResult(Record):
 def _first_acting(letters: tuple[int, ...], weight: tuple[int, ...]) -> tuple[int, int]:
     """(t, d) for a prefix of ``letters`` of weight W: letter t (0-based) acts first.
 
-    Letters left of the first acting one fix the weight of the suffix after
-    them, so that letter l is the first of the prefix with W[l] != 0, and it
-    pairs d = -W[l] with the weight of the suffix after it.
+    Letters left of it fix the weight of the suffix after them, so it is the
+    first letter l with W[l] != 0, and it pairs d = -W[l] with that weight.
     """
     for t, l in enumerate(letters):
         if weight[l - 1]:
@@ -258,13 +256,9 @@ def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> 
         return LiftMonomial(((sym, 1),), (), (), MultiDegree.fundamental(cfg.j_set, i))
     res = _strip_result(word, k, weight)
     _require_in_j(cfg, word, k, res.j_star)
+    degree = MultiDegree.fundamental(cfg.j_set, res.j_star, res.d)
     sym = MinorSymbol(i, weight, res.stripped)
-    return LiftMonomial(
-        ((sym, 1),),
-        ((res.j_star, res.d),),
-        ((i, 1),),
-        MultiDegree.fundamental(cfg.j_set, res.j_star, res.d),
-    )
+    return LiftMonomial(((sym, 1),), ((res.j_star, res.d),), ((i, 1),), degree)
 
 
 def _require_in_j(cfg: ParabolicConfig, word: Word, k: int, j_star: int) -> None:
@@ -361,25 +355,21 @@ def _degree_sums(fs: FlagSeed, k: int) -> tuple[list[int], list[int]]:
 
 
 def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
-    """Lift the exchange relation at k; unit powers balance the two degrees.
-
-    One pass over column k sums deg M and deg L and gathers each term's
-    symbols, unit and den powers from the lifts at its support.
-    """
+    """Lift the exchange relation at k; unit powers balance the two degrees.  One
+    pass over column k sums deg M and deg L and gathers both terms' factors."""
     seed = fs.base
     column = seed.matrix.column(k)
     if seed.history:  # name a mutated support position, M_k's side first
         for pos, _ in sorted(column, key=lambda pair: pair[1] < 0):
             _require_minor(seed, pos)
-    js = seed.cfg.j_set
-    width = len(js)
-    sides = ([0] * width, [], {}, {}), ([0] * width, [], {}, {})  # degree, num, unit, den
+    js, degrees, lifts = seed.cfg.j_set, fs.degrees, fs.lifts
+    sides = ([0] * len(js), [], {}, {}), ([0] * len(js), [], {}, {})  # degree, num, unit, den
     for pos, b in column:
         deg, num, unit, den = sides[b < 0]
         e = abs(b)
-        for t, c in enumerate(fs.degrees[pos - 1].coeffs):
+        for t, c in enumerate(degrees[pos - 1].coeffs):
             deg[t] += e * c
-        lift = fs.lifts[pos - 1]
+        lift = lifts[pos - 1]
         num.append((lift.num[0][0], e))
         for j, x in lift.unit:
             unit[j] = unit.get(j, 0) + e * x
@@ -389,7 +379,7 @@ def lift_relation(fs: FlagSeed, k: int) -> LiftedRelation:
     degree = MultiDegree(js, top)
     powers, terms = [], []
     for deg, num, unit, den in sides:
-        units = tuple(t - x for t, x in zip(top, deg))
+        units = tuple([t - x for t, x in zip(top, deg)])
         for j, e in zip(js, units):
             if e:
                 unit[j] = unit.get(j, 0) + e
@@ -422,11 +412,11 @@ def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
     """Extend a cell seed by the lift and lift degree of each position, all
     read from one pass of prefix weights.  Each prefix is stripped as in
     ``_lift``, inline, and positions share one degree d*w_j per (j, d)."""
-    cfg, word = seed.cfg, seed.word
+    cfg, word, history = seed.cfg, seed.word, seed.history
     letters, js = word.letters, cfg.j_set
     lifts, degrees = [], {}
     for k, weight in enumerate(prefix_weights(seed.lie_type, word), start=1):
-        if k in seed.history:
+        if k in history:
             _require_minor(seed, k)
         i = letters[k - 1]
         if i in js:
@@ -483,7 +473,7 @@ def project(x: LiftMonomial | LiftedRelation) -> RestrictedMonomial | Restricted
     """Set every unit minor to 1; the other factors keep their symbols.  Every
     num the package builds is sorted with distinct symbols, so nothing merges."""
     if isinstance(x, LiftedRelation):
-        return RestrictedSum(tuple(map(project, x.terms)))
+        return RestrictedSum((project(x.terms[0]), project(x.terms[1])))
     return RestrictedMonomial(tuple([f for f in x.num if not f[0].is_unit()]))
 
 

@@ -51,8 +51,9 @@ _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 # Entries a dense integer table may have: rank x rank for a Cartan matrix (the
 # ``cartan`` output) and for the ``prefix_weights`` images, positions x mutable
-# positions for an initial exchange matrix, n x n for a cell sample.  At 8
-# bytes a reference that is 128 MiB, checked before the table is allocated.
+# positions for the printed rows of an exchange matrix (its columns are sparse),
+# n x n for a cell sample.  At 8 bytes a reference that is 128 MiB, checked
+# before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
 # Lie types whose root supports are kept (the benchmark ladder has 21); each
 # holds at most four entries per vertex, not a dense Cartan matrix.
@@ -304,9 +305,16 @@ def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     supports = root_supports(lie_type)
     out = []
     for i in word.letters:
+        # a[i][i] = 2, so I_i turns into -I_i less the a[l][i] I_l of its neighbours
         image = images[i - 1]
-        for l, a in supports[i - 1]:
-            image = [x - a * y for x, y in zip(image, images[l])]
+        others = [(a, images[l]) for l, a in supports[i - 1] if l != i - 1]
+        if len(others) == 2:  # one pass for a vertex inside a chain
+            (a, y), (b, z) = others
+            image = [-x - a * u - b * v for x, u, v in zip(image, y, z)]
+        else:
+            image = [-x for x in image]
+            for a, y in others:
+                image = [x - a * u for x, u in zip(image, y)]
         images[i - 1] = image = tuple(image)
         out.append(image)
     return out

@@ -2,7 +2,10 @@
 
 Positions are 1-based indices into the generating word.  Rows of the
 exchange matrix carry all positions, mutable first, then frozen, each block
-in position order; columns are the mutable positions.  A seed is its word,
+in position order; columns are the mutable positions.  Each column is kept
+as its few nonzero entries, filled from p(k), s(k) and the letters next to
+i_k, and a mutation rewrites only the columns it changes; the dense table is
+built only where it is printed.  A seed is its word,
 matrix and mutation history; its labels and frozen flags derive from the
 word and the history, and a seed file is checked against that derivation.
 """
@@ -10,9 +13,7 @@ word and the history, and a seed file is checked against that derivation.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from functools import cached_property
-from itertools import compress
 
 from .rootsys import (
     MAX_TABLE_ENTRIES,
@@ -80,14 +81,9 @@ def successor_maps(word: Word) -> SeedIndexData:
 
 
 class ExchangeMatrix(Record, uncompared=("entries",)):
-    """Extended exchange matrix with labeled rows and columns.
-
-    Each column is kept as its nonzero (row label, entry) pairs in label
-    order, so reading a column or mutating costs the nonzeros it touches.
-    ``entries`` are the dense rows: those given to the constructor, else a
-    view built on first read, within the table budget.  Equality and the
-    hash read the labels and the columns.
-    """
+    """Extended exchange matrix with labeled rows and columns, each column kept as
+    its nonzero (row, entry) pairs in row order.  ``entries``, the dense rows, are
+    those given or a view built on first read; equality reads the columns."""
 
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
@@ -105,11 +101,8 @@ class ExchangeMatrix(Record, uncompared=("entries",)):
                     raise CellSeedError("column count does not match column labels")
             object.__setattr__(self, "entries", entries)
             rows = sorted(zip(row_labels, entries))
-            labels = [j for j, _ in rows]
-            columns = tuple(
-                tuple(zip(compress(labels, col), filter(None, col)))
-                for col in zip(*(row for _, row in rows))
-            ) or ((),) * len(col_labels)
+            cols = range(len(col_labels))
+            columns = tuple(tuple((j, row[c]) for j, row in rows if row[c]) for c in cols)
         object.__setattr__(self, "columns", columns)
 
     @property
@@ -177,7 +170,8 @@ class ExchangeMatrix(Record, uncompared=("entries",)):
 def render_rows(cols: tuple[int, ...], rows: list, rule_at: int) -> list[str]:
     """A header of ``cols``, then a line "label ( entries )" per (label, entries)
     of ``rows``, a rule line before row ``rule_at``, all right-aligned to one width."""
-    width = max([len(str(x)) for x in cols] + [len(str(x)) for _, row in rows for x in row] + [1])
+    ends = [x for row in [cols] + [row for _, row in rows] if row for x in (min(row), max(row))]
+    width = max([len(str(x)) for x in ends] + [1])  # the widest entry is a row's min or max
     cell = f"{{:>{width}}}".format
     lines = ["    " + " ".join(map(cell, cols))]
     for r, (label, row) in enumerate(rows):
@@ -212,13 +206,10 @@ def initial_matrix(lie_type: LieType, word: Word) -> ExchangeMatrix:
         i, pk, sk = letters[k - 1], data.p[k - 1], s[k - 1]
         col = [(sk, -1)] if pk is None else [(pk, 1), (sk, -1)]
         for l, a in supports[i - 1]:  # a = a[l+1][i]; l+1 = i meets neither chain
-            if l + 1 in at:  # only the last l+1 before k, and before s(k), can chain
-                pos = at[l + 1]
-                j = pos[bisect_left(pos, k) - 1]
+            for j in at.get(l + 1, ()):
                 if j < k < s[j - 1] < sk:
                     col.append((j, a))
-                j = pos[bisect_left(pos, sk) - 1]
-                if k < j < sk < s[j - 1]:
+                elif k < j < sk < s[j - 1]:
                     col.append((j, -a))
         columns.append(tuple(sorted(col)))
     return ExchangeMatrix(mutable + data.frozen_positions(), mutable, columns=tuple(columns))

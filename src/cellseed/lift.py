@@ -126,8 +126,8 @@ class MinorSymbol(Record, uncompared=("word",)):
         return (self.fund, self.weight)
 
     def is_unit(self) -> bool:
-        c, i = self.weight, self.fund
-        return 0 < i <= len(c) and c[i - 1] == 1 and c.count(0) == len(c) - 1
+        c = self.weight
+        return 0 < self.fund <= len(c) and c[self.fund - 1] == 1 and c.count(0) == len(c) - 1
 
     def render(self, letter: str = "Δ") -> str:
         if self.is_unit():

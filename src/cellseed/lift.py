@@ -31,6 +31,7 @@ from .rootsys import (
     Word,
     check_letters,
     prefix_weights,
+    require_prefix_table,
 )
 from .seedcore import Seed, mutate_seed, render_rows, require_reduced, seed_to_dict
 
@@ -56,7 +57,7 @@ class MultiDegree(Record):
         js = tuple(js)
         if j not in js:
             raise LiftDegreeError(f"index {j} not in J={js}")
-        return cls(js, tuple(mult if x == j else 0 for x in js))
+        return cls(js, tuple([mult if x == j else 0 for x in js]))
 
     def coeff(self, j: int) -> int:
         return self.coeffs[self.js.index(j)]
@@ -192,25 +193,21 @@ class StripResult(Record):
         object.__setattr__(self, "stripped", stripped)
 
 
-def _first_acting(letters: tuple[int, ...], weight: tuple[int, ...]) -> tuple[int, int]:
-    """(t, d) for a prefix of ``letters`` of weight W: letter t (0-based) acts first.
+def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
+    """Strip data of the k-th prefix of ``word`` from its weight W.
 
-    Letters left of it fix the weight of the suffix after them, so it is the
-    first letter l with W[l] != 0, and it pairs d = -W[l] with that weight.
+    Letters left of the first acting one fix the weight of the suffix after
+    them, so that letter l is the first of the prefix with W[l] != 0, and it
+    pairs -W[l] with the weight of the suffix after it.
     """
+    letters = word.letters
     for t, l in enumerate(letters):
         if weight[l - 1]:
-            d = -weight[l - 1]
-            if d < 0:
-                raise CellSeedError("negative pairing on a reduced word")
-            return t, d
-
-
-def _strip_result(word: Word, k: int, weight: tuple[int, ...]) -> StripResult:
-    """Strip data of the k-th prefix of ``word`` from its weight."""
-    letters = word.letters
-    t, d = _first_acting(letters, weight)
-    return StripResult(t + 1, letters[t], d, Word(letters[t:k]))
+            break
+    d = -weight[l - 1]
+    if d < 0:
+        raise CellSeedError("negative pairing on a reduced word")
+    return StripResult(t + 1, l, d, Word(letters[t:k]))
 
 
 def _require_strippable(lie_type: LieType, word: Word, i_target: int) -> None:
@@ -245,27 +242,28 @@ def lift_minor(
     """
     check_letters(lie_type, w_prefix)
     _require_strippable(lie_type, w_prefix, i)
-    return _lift(cfg, w_prefix, len(w_prefix), prefix_weights(lie_type, w_prefix)[-1])
+    return _lift(cfg, w_prefix, len(w_prefix), prefix_weights(lie_type, w_prefix)[-1], {})
 
 
-def _lift(cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...]) -> LiftMonomial:
-    """``lift_minor`` of the k-th prefix of a checked word, whose weight is ``weight``."""
+def _lift(
+    cfg: ParabolicConfig, word: Word, k: int, weight: tuple[int, ...], degrees: dict
+) -> LiftMonomial:
+    """``lift_minor`` of the k-th prefix of a checked word, whose weight is ``weight``.
+    ``degrees`` holds the degrees d*w_j made so far, by (j, d), for the lifts to share."""
     i = word.letters[k - 1]
     if i in cfg.j_set:
-        sym = MinorSymbol(i, weight, word.prefix(k))
-        return LiftMonomial(((sym, 1),), (), (), MultiDegree.fundamental(cfg.j_set, i))
-    res = _strip_result(word, k, weight)
-    _require_in_j(cfg, word, k, res.j_star)
-    degree = MultiDegree.fundamental(cfg.j_set, res.j_star, res.d)
-    sym = MinorSymbol(i, weight, res.stripped)
-    return LiftMonomial(((sym, 1),), ((res.j_star, res.d),), ((i, 1),), degree)
-
-
-def _require_in_j(cfg: ParabolicConfig, word: Word, k: int, j_star: int) -> None:
-    if j_star not in cfg.j_set:
-        raise LiftDegreeError(
-            f"first acting letter {j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
-        )
+        j, d, unit, den, stripped = i, 1, (), (), word.prefix(k)
+    else:
+        res = _strip_result(word, k, weight)
+        if res.j_star not in cfg.j_set:
+            raise LiftDegreeError(
+                f"first acting letter {res.j_star} of {word.prefix(k)} lies outside J={cfg.j_set}"
+            )
+        j, d, stripped = res.j_star, res.d, res.stripped
+        unit, den = ((j, d),), ((i, 1),)
+    if (j, d) not in degrees:
+        degrees[j, d] = MultiDegree.fundamental(cfg.j_set, j, d)
+    return LiftMonomial(((MinorSymbol(i, weight, stripped), 1),), unit, den, degrees[j, d])
 
 
 class LiftedRelation(Record):
@@ -340,7 +338,7 @@ def position_lift(seed: Seed, k: int) -> LiftMonomial:
         raise CellSeedError(f"position {k} out of range 1..{seed.size}")
     _require_minor(seed, k)
     prefix = seed.word.prefix(k)
-    return _lift(seed.cfg, prefix, k, prefix_weights(seed.lie_type, prefix)[-1])
+    return _lift(seed.cfg, prefix, k, prefix_weights(seed.lie_type, prefix)[-1], {})
 
 
 def _degree_sums(fs: FlagSeed, k: int) -> tuple[list[int], list[int]]:
@@ -410,24 +408,12 @@ def bhat_column(fs: FlagSeed, k: int) -> tuple[int, ...]:
 
 def build_flag_seed(seed: Seed, bhat_literal: bool = False) -> FlagSeed:
     """Extend a cell seed by the lift and lift degree of each position, all
-    read from one pass of prefix weights.  Each prefix is stripped as in
-    ``_lift``, inline, and positions share one degree d*w_j per (j, d)."""
-    cfg, word, history = seed.cfg, seed.word, seed.history
-    letters, js = word.letters, cfg.j_set
+    read from one pass of prefix weights."""
+    require_prefix_table(seed.word)
     lifts, degrees = [], {}
-    for k, weight in enumerate(prefix_weights(seed.lie_type, word), start=1):
-        if k in history:
-            _require_minor(seed, k)
-        i = letters[k - 1]
-        if i in js:
-            t, j, d, unit, den = 0, i, 1, (), ()
-        else:
-            t, d = _first_acting(letters, weight)
-            j, unit, den = letters[t], ((letters[t], d),), ((i, 1),)
-            _require_in_j(cfg, word, k, j)
-        degree = degrees.get((j, d)) or degrees.setdefault((j, d), MultiDegree.fundamental(js, j, d))
-        sym = MinorSymbol(i, weight, Word(letters[t:k]))
-        lifts.append(LiftMonomial(((sym, 1),), unit, den, degree))
+    for k, weight in enumerate(prefix_weights(seed.lie_type, seed.word), start=1):
+        _require_minor(seed, k)
+        lifts.append(_lift(seed.cfg, seed.word, k, weight, degrees))
     return FlagSeed(seed, tuple(lift.degree for lift in lifts), tuple(lifts), bhat_literal)
 
 

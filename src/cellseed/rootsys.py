@@ -50,10 +50,11 @@ _RANK_BOUNDS = {
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 # Entries a dense integer table may have: rank x rank for a Cartan matrix (the
-# ``cartan`` output) and for the ``prefix_weights`` images, positions x mutable
-# positions for the printed rows of an exchange matrix (its columns are sparse),
-# n x n for a cell sample.  At 8 bytes a reference that is 128 MiB, checked
-# before the table is allocated.
+# ``cartan`` output), positions x rank for the ``prefix_weights`` of a word,
+# the letters of all its prefixes for the labels of a seed and the lifts of a
+# flag seed, positions x mutable positions for the printed rows of an exchange
+# matrix (its columns are sparse), n x n for a cell sample.  At 8 bytes a
+# reference that is 128 MiB, checked before the table is allocated.
 MAX_TABLE_ENTRIES = 1 << 24
 # Lie types whose root supports are kept (the benchmark ladder has 21); each
 # holds at most four entries per vertex, not a dense Cartan matrix.
@@ -293,6 +294,18 @@ def _reflect_in_place(supports, mu: list[int], i: int) -> None:
             mu[l] -= c * a
 
 
+def require_table(entries: int, table: str) -> None:
+    """Refuse to build ``table`` when its ``entries`` pass MAX_TABLE_ENTRIES."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise CellSeedError(f"{table} is past the budget of {MAX_TABLE_ENTRIES} table entries")
+
+
+def require_prefix_table(word: Word) -> None:
+    """Refuse a word whose prefixes, one per label or lift, pass the table budget."""
+    n = len(word)
+    require_table(n * (n + 1) // 2, f"a {n}-letter word's prefix table of {n * (n + 1) // 2} letters")
+
+
 def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     """Entry k-1 is s_{i1}...s_{ik}(w_{ik}), the weight of the k-th prefix minor.
 
@@ -301,20 +314,14 @@ def prefix_weights(lie_type: LieType, word: Word) -> list[tuple[int, ...]]:
     alpha_i = sum_l a[l][i] w_l, letter i changes only I_i, to
     I_i - sum_l a[l][i] I_l.  The letters must already be checked.
     """
+    require_table(len(word) * lie_type.rank, f"a {len(word)}x{lie_type.rank} prefix weight table")
     images = [tuple(int(l == j) for l in lie_type.vertices) for j in lie_type.vertices]
     supports = root_supports(lie_type)
     out = []
     for i in word.letters:
-        # a[i][i] = 2, so I_i turns into -I_i less the a[l][i] I_l of its neighbours
         image = images[i - 1]
-        others = [(a, images[l]) for l, a in supports[i - 1] if l != i - 1]
-        if len(others) == 2:  # one pass for a vertex inside a chain
-            (a, y), (b, z) = others
-            image = [-x - a * u - b * v for x, u, v in zip(image, y, z)]
-        else:
-            image = [-x for x in image]
-            for a, y in others:
-                image = [x - a * u for x, u in zip(image, y)]
+        for l, a in supports[i - 1]:
+            image = [x - a * y for x, y in zip(image, images[l])]
         images[i - 1] = image = tuple(image)
         out.append(image)
     return out

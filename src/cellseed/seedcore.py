@@ -16,13 +16,14 @@ import json
 from functools import cached_property
 
 from .rootsys import (
-    MAX_TABLE_ENTRIES,
     CellSeedError,
     LieType,
     ParabolicConfig,
     Record,
     Word,
     reduced_violation,
+    require_prefix_table,
+    require_table,
     root_supports,
     symmetrizers,
 )
@@ -112,11 +113,7 @@ class ExchangeMatrix(Record, uncompared=("entries",)):
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         rows, cols = self.shape
-        if rows * cols > MAX_TABLE_ENTRIES:
-            raise CellSeedError(
-                f"a {rows}x{cols} exchange matrix is past the budget "
-                f"of {MAX_TABLE_ENTRIES} table entries"
-            )
+        require_table(rows * cols, f"a {rows}x{cols} exchange matrix")
         dense = {j: [0] * cols for j in self.row_labels}
         for c, column in enumerate(self.columns):
             for j, b in column:
@@ -170,14 +167,13 @@ class ExchangeMatrix(Record, uncompared=("entries",)):
 def render_rows(cols: tuple[int, ...], rows: list, rule_at: int) -> list[str]:
     """A header of ``cols``, then a line "label ( entries )" per (label, entries)
     of ``rows``, a rule line before row ``rule_at``, all right-aligned to one width."""
-    ends = [x for row in [cols] + [row for _, row in rows] if row for x in (min(row), max(row))]
-    width = max([len(str(x)) for x in ends] + [1])  # the widest entry is a row's min or max
-    cell = f"{{:>{width}}}".format
-    lines = ["    " + " ".join(map(cell, cols))]
+    width = max([len(str(x)) for x in cols] + [len(str(x)) for _, row in rows for x in row] + [1])
+    lines = ["    " + " ".join(f"{c:>{width}}" for c in cols)]
     for r, (label, row) in enumerate(rows):
         if r == rule_at:
             lines.append("  " + "-" * (2 + (width + 1) * len(cols)))
-        lines.append(f"{label:>2} ( {' '.join(map(cell, row))} )")
+        body = " ".join(f"{x:>{width}}" for x in row)
+        lines.append(f"{label:>2} ( {body} )")
     return lines
 
 
@@ -268,6 +264,7 @@ class Seed(Record):
     @cached_property
     def labels(self) -> tuple[Label, ...]:
         word = self.word
+        require_prefix_table(word)
         labels: list[Label] = [MinorLabel(i, word.prefix(k)) for k, i in enumerate(word, start=1)]
         for t, k in enumerate(self.history, start=1):
             labels[k - 1] = MutationLabel(self.history[:t])

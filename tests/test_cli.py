@@ -180,6 +180,41 @@ class TestDenseTableOnlyWherePrinted:
         assert [t["degree"] for t in data["terms"]] == [{"1": 1}, {"1": 1}]
 
 
+class TestPrefixBudget:
+    """Seed labels and flag-seed lifts hold a prefix of the word for each
+    position, and ``prefix_weights`` a weight, so both are refused above
+    MAX_TABLE_ENTRIES before they are built."""
+
+    # w_K,0 w0 of A151 with J={1,75} has 5849 letters, whose prefixes hold
+    # 17 108 325; A150 with J={1,75} has 5774 letters and 16 672 425
+    PAST = (
+        "error: a 5849-letter word's prefix table of 17108325 letters is past the budget "
+        "of 16777216 table entries\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv", [("lift", "--k", "5"), ("liftrel", "--k", "5"), ("flagseed",)], ids=lambda a: a[0]
+    )
+    def test_long_word_is_refused(self, capsys, argv):
+        code, out, err = _run_small(capsys, argv[0], "A151", "--J", "1,75", *argv[1:])
+        assert (code, out, err) == (2, "", self.PAST)
+
+    def test_prefix_weight_table(self):
+        from cellseed.rootsys import LieType, Word, prefix_weights
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                cellseed.CellSeedError,
+                match="^a 4097x4096 prefix weight table is past the budget of 16777216 table entries$",
+            ):
+                prefix_weights(LieType("A", 4096), Word((1,) * 4097))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 4096 images alone would take 128 MiB
+
+
 class TestWords:
     def test_w0_parabolic(self, capsys):
         code, out, _ = run(capsys, "w0", "B3", "--subset", "{1,2}", "--json")

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, Record, Word
+from .rootsys import MAX_TABLE_ENTRIES, CellSeedError, Record, Word, require_table
 
 Mat = tuple[tuple[Fraction, ...], ...]
 #: integer columns of a sample, each as (denominator, numerators of rows 1..c)
@@ -72,10 +72,7 @@ def _check_cell(n: int, letters: tuple[int, ...], samples: int = 1) -> None:
         raise CellSeedError(f"need at least one sample, got {samples}")
     if n < 1:
         raise CellSeedError(f"matrix size must be at least 1, got {n}")
-    if n * n > MAX_TABLE_ENTRIES:  # the n x n matrix of cell_sample
-        raise CellSeedError(
-            f"a {n}x{n} sample matrix is past the budget of {MAX_TABLE_ENTRIES} table entries"
-        )
+    require_table(n * n, f"a {n}x{n} sample matrix")  # the n x n matrix of cell_sample
     for i in letters:
         if not 1 <= i <= n - 1:
             raise CellSeedError(f"letter {i} out of range for size {n}")
